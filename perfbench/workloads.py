@@ -45,7 +45,7 @@ WORKLOADS = {
     for w in (
         Workload(
             "pi-cold",
-            "pi CLI with no cache: every request sieves and ranks from scratch",
+            "pi CLI with no cache: every request sieves and ranks anew",
             12,
             _log_uniform(1e5, SIEVE_CAP),
         ),
