@@ -9,9 +9,11 @@ a process of its own.
 
 --trace 0 measures the end-to-end metrics.  Set-up is measured in five fresh
 processes and reported as their median; the last of them also runs the
-timed loop.  --trace 1 runs the same inputs twice for half the time each,
-untraced and then traced, and reports per-layer metrics from the traced
-run plus the tracing overhead, which is the difference between the two.
+timed loop.  Its timings are scaled to a reference host speed, read from
+host probes the worker takes between requests (see host_scale).  --trace 1
+runs the same inputs twice for half the time each, untraced and then
+traced, and reports per-layer metrics from the traced run plus the tracing
+overhead, which is the difference between the two.
 
 The last line of stdout is one JSON object: correct, attempted, failed and
 metrics.  With --workload all its metric names are prefixed by workload.
@@ -30,6 +32,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 import workloads
 from workloads import WORKLOADS
@@ -41,6 +44,10 @@ SETUP_SAMPLES = 5
 # an end-to-end run goes on past its time until it holds this many requests,
 # so that its 90th percentile has at least ten samples beyond it
 MIN_REQUESTS = 100
+# timings are scaled to a host on which worker.host_probe takes this long
+REFERENCE_PROBE_US = 100.0
+# host probes in the rolling median that rates the host around a request
+PROBE_WINDOW = 15
 WORKER_TIMEOUT_S = 120  # a hung process still ends the run inside 180 s
 
 END_TO_END_UNITS = {
@@ -138,16 +145,17 @@ class Run:
         self.name, self.inputs, self.tag = name, inputs, tag
         self.cfg = {
             "workload": name, "seconds": seconds, "trace": trace,
-            "min_requests": min_requests, "probe": False, "inputs": str(inputs_file),
-            "latencies": str(OUT / f"{tag}.lat"),
+            "min_requests": min_requests, "setup_only": False,
+            "inputs": str(inputs_file), "probe_every": WORKLOADS[name].probe_every,
+            "latencies": str(OUT / f"{tag}.lat"), "probes": str(OUT / f"{tag}.probe"),
             "answers": str(OUT / f"{tag}.ans"),
             "spans": str(OUT / f"spans-{name}.npz"),
             "warm_limit": workloads.WARM_LIMIT,
         }
         self.setup_answers: list[int] = []  # pi-warm: pi(warm_limit) per process
 
-    def probe(self) -> float:
-        summary, started = spawn_worker(dict(self.cfg, probe=True))
+    def setup_only(self) -> float:
+        summary, started = spawn_worker(dict(self.cfg, setup_only=True))
         self.setup_answers.append(summary.get("setup_pi"))
         return (summary["ready_ns"] - started) / 1e9
 
@@ -155,10 +163,14 @@ class Run:
         self.summary, started = spawn_worker(self.cfg)
         self.setup_s = (self.summary["ready_ns"] - started) / 1e9
         self.setup_answers.append(self.summary.get("setup_pi"))
-        self.latencies = np.fromfile(self.cfg["latencies"], dtype="<i8")
+        pairs = np.fromfile(self.cfg["latencies"], dtype="<i8").reshape(-1, 2)
+        self.latencies, self.cycles = pairs[:, 0], pairs[:, 1]
+        self.probes = np.fromfile(self.cfg["probes"], dtype="<i8")
         self.count = int(self.summary["requests"])
-        if len(self.latencies) != self.count:
-            raise BenchError("latency file does not match request count")
+        probe_every = self.cfg["probe_every"]
+        if (len(self.latencies) != self.count or
+                len(self.probes) != 1 + -(-self.count // probe_every)):
+            raise BenchError("latency or probe file does not match request count")
         self.failures = self._check_answers()
 
     def _check_answers(self) -> list[str]:
@@ -217,11 +229,11 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         inputs.astype("<i8").tofile(inputs_file)
         if not trace:
             run = Run(name, inputs, inputs_file, seconds, False, MIN_REQUESTS, tag)
-            setups = [run.probe() for _ in range(SETUP_SAMPLES - 1)]
+            setups = [run.setup_only() for _ in range(SETUP_SAMPLES - 1)]
             run.go()
             runs.append(run)
             setups.append(run.setup_s)
-            metrics = end_to_end(run, setups)
+            metrics, meta["timing_detail"] = end_to_end(run, setups)
             meta["setup_samples_s"] = setups
         else:
             for trace_on in (False, True):
@@ -246,26 +258,65 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
             "failed": len(failures), "metrics": metrics, "meta": meta}
 
 
-def end_to_end(run: Run, setups: list[float]) -> dict:
-    s = run.summary
-    lat_ms = run.latencies / 1e6
-    elapsed_s = (s["end_ns"] - s["ready_ns"]) / 1e9
-    values = {
-        "setup_s": statistics.median(setups),
-        "throughput_rps": run.count / elapsed_s,
+def host_scale(run: Run) -> np.ndarray:
+    """Per request, the factor that brings its timings to the reference host.
+
+    The host's speed around a request is the mean of the rolling medians of
+    host probes just before and just after it; the factor is the reference
+    probe time over that.  The probes share no code with oddseq, so the
+    factor follows the host alone, never the inputs or oddseq's own speed.
+    """
+    half = PROBE_WINDOW // 2
+    padded = np.pad(run.probes.astype(float), half, mode="edge")
+    rolling = np.median(sliding_window_view(padded, 2 * half + 1), axis=1)
+    j = np.arange(run.count) // run.cfg["probe_every"]
+    return REFERENCE_PROBE_US * 1e3 / ((rolling[j] + rolling[j + 1]) / 2)
+
+
+def timing(latencies: np.ndarray, cycles: np.ndarray) -> dict:
+    lat_ms = latencies / 1e6
+    return {
+        "throughput_rps": len(cycles) / (cycles.sum() / 1e9),
         "latency_p50_ms": float(np.percentile(lat_ms, 50)),
         "latency_p90_ms": float(np.percentile(lat_ms, 90)),
+    }
+
+
+def end_to_end(run: Run, setups: list[float]) -> tuple[dict, dict]:
+    """The end-to-end metrics, and the unscaled timings beside them.
+
+    Set-up is scaled by the run's median host probe: the set-up processes
+    run just before the timed loop, and each is too short for probes of
+    its own to say more than that.
+    """
+    s = run.summary
+    scale = host_scale(run)
+    setup_scale = REFERENCE_PROBE_US * 1e3 / float(np.median(run.probes))
+    values = {
+        "setup_s": statistics.median(setups) * setup_scale,
+        **timing(run.latencies * scale, run.cycles * scale),
         "success_rate": (run.count - len(run.failures)) / run.count,
         "peak_rss_mb": s["rss_kb"] / 1024,
     }
-    return {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
+    probe_us = np.percentile(run.probes, [0, 25, 50, 75, 100]) / 1e3
+    detail = {
+        "unscaled": dict(timing(run.latencies, run.cycles),
+                         setup_s=statistics.median(setups)),
+        "host_probe_us_quartiles": [round(float(v), 2) for v in probe_us],
+        "mean_host_scale": float(scale.mean()),
+    }
+    metrics = {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
+    return metrics, detail
 
 
 def per_layer(plain: Run, traced: Run) -> tuple[dict, dict]:
     """Layer metrics of the traced run, and overhead against the plain run."""
     summary = traced.summary["trace"]
     m = min(plain.count, traced.count)
-    overhead_ms = float(traced.latencies[:m].mean() - plain.latencies[:m].mean()) / 1e6
+    # the plain run's latencies, brought to the host speed of the traced run
+    plain_scale, traced_scale = host_scale(plain)[:m], host_scale(traced)[:m]
+    plain_ms = (plain.latencies[:m] * plain_scale).mean() / traced_scale.mean()
+    overhead_ms = float(traced.latencies[:m].mean() - plain_ms) / 1e6
     values = dict(summary["metrics"], **{"trace.overhead_ms": overhead_ms})
     units = per_layer_units()
     details = {

@@ -34,6 +34,7 @@ class Workload:
     why: str
     bits: int  # the input block holds 2**bits inputs
     draw: Callable[[np.ndarray], np.ndarray]  # uniform [0, 1) -> inputs
+    probe_every: int = 1  # requests between two readings of the host's speed
 
 
 def _log_uniform(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -54,6 +55,7 @@ WORKLOADS = {
             "pi_of on one prebuilt table: rank query and wrapper, build bypassed",
             20,
             lambda u: 2 + np.floor(u * (WARM_LIMIT - 1)).astype(np.int64),
+            probe_every=4096,
         ),
         Workload(
             "gen",
