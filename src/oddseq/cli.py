@@ -2,8 +2,8 @@
 
 Every command takes --format text|json|csv.  Exit codes: 0 on success,
 1 when verify finds a mismatch in an exact-variant check, 2 on usage or
-domain errors.  The ODSQ_SIEVE_CACHE environment variable names a file
-used to persist the sieve between runs.
+domain errors and on requests above a size cap.  The ODSQ_SIEVE_CACHE
+environment variable names a file used to persist the sieve between runs.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counting, oracle, pcomposites, primegen, sequences
+from .errors import ResourceLimitError
 
 FORMATS = ("text", "json", "csv")
 
@@ -33,6 +34,16 @@ def _positive_number(text: str) -> float | int:
         return int(text)
     except ValueError:
         return float(text)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _get_table(limit: int) -> oracle.SieveTable:
@@ -454,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--include-two", action=argparse.BooleanOptionalAction, default=True
     )
-    p_gen.add_argument("--guard", choices=primegen.GUARDS, default="strict")
+    p_gen.add_argument(
+        "--guard", choices=primegen.GUARDS, default="strict",
+        help="kept for compatibility; both guards give the same primes",
+    )
     add_format(p_gen)
     p_gen.set_defaults(fn=_cmd_gen)
 
@@ -478,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="timing table (informational)")
     p_bench.add_argument("--x-max", type=_positive_number, default=100_000)
-    p_bench.add_argument("--repeats", type=int, default=5)
+    p_bench.add_argument("--repeats", type=_positive_int, default=5)
     add_format(p_bench)
     p_bench.set_defaults(fn=_cmd_bench)
 
@@ -490,7 +504,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

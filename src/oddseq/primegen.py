@@ -1,22 +1,29 @@
-"""Partition-based prime generation by trial division over the odd sequence.
+"""Partition-based prime generation over the odd sequence.
 
 Primes are discovered in partitions anchored by a pair of consecutive
-primes (a, b).  Within a partition the index cursor steps by a, so the
-candidates element/a sweep every odd number from just past the previous
-partition's last discovery up to (but excluding) b*b; each candidate is
-kept unless one of the accumulated moduli divides it.  At rollover b
-joins the moduli, the anchors advance one prime, and the next partition
-starts where the last one left off.
+primes (a, b).  A partition covers every odd number from just past the
+previous partition's last discovery up to (but excluding) b*b, and the
+accumulated moduli are exactly the odd primes up to a.  Any odd
+composite below b*b has an odd prime factor at most a, so the partition
+is one segment of a segmented sieve of Eratosthenes: each modulus clears
+its odd multiples from a bool array over the segment, and the survivors
+are the partition's primes.  At rollover b joins the moduli, the anchors
+advance one prime, and the next partition starts where the last one left
+off.
 
-The exclusive loop guard (`index < endpoint - a`) is deliberate: it
-stops one step short of the index of a*b*b, whose candidate b*b would
-otherwise be accepted because b only enters the moduli at rollover.
-Candidates cover every odd in (last_element, b*b), so nothing is
-skipped; the suite checks completeness per partition against the sieve.
+The index cursor of the paper steps by a through the elements a*u of
+the odd sequence, so a partition ends on the index of a*(b*b - 2), the
+element whose quotient is the last odd below b*b.  b*b itself is never a
+candidate: b only enters the moduli at rollover.  The loop guards
+"strict" and "inclusive" of that walk differ only in how they step over
+b*b, so they enumerate the same candidates; `guard` is accepted and
+validated for compatibility but has no effect.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .sequences import U64_MAX
@@ -57,55 +64,45 @@ def initial_state() -> GeneratorState:
     )
 
 
+def _check_guard(guard: str) -> None:
+    if guard not in GUARDS:
+        raise ValueError(f"guard must be one of {GUARDS}, got {guard!r}")
+
+
 def _advance(
     primes: list[int],
     moduli: list[int],
     a: int,
     b: int,
-    index: int,
     partition: int,
     last_element: int,
-    inclusive: bool,
 ) -> tuple[int, int, int, int, int]:
-    """Run one partition plus rollover; mutates primes and moduli."""
+    """Run one partition plus rollover; mutates primes and moduli.
+
+    moduli must be the prefix primes[:len(moduli)], so the prime after b
+    sits at primes[len(moduli)] once b has joined the moduli.
+    """
     if a * b * b > U64_MAX:
         raise OverflowError("partition endpoint exceeds 64-bit range")
-    if partition > 1:
-        index = (last_element * a - 3) // 2
-    endpoint = (a * b * b - 3) // 2
-
-    if inclusive:
-        # inclusive guard also reaches the boundary candidate b*b, which
-        # must be skipped explicitly since b joins the moduli only later
-        while index < endpoint:
-            index += a
-            candidate = (3 + 2 * index) // a
-            if candidate == b * b:
-                continue
-            for m in moduli:
-                if candidate % m == 0:
-                    break
-            else:
-                primes.append(candidate)
-    else:
-        while index < endpoint - a:
-            index += a
-            candidate = (3 + 2 * index) // a
-            for m in moduli:
-                if candidate % m == 0:
-                    break
-            else:
-                primes.append(candidate)
+    lo = 7 if partition == 1 else last_element + 2
+    hi = b * b - 2
+    keep = np.ones((hi - lo) // 2 + 1, dtype=bool)
+    # slot s holds lo + 2*s, so the first odd multiple of m at or above
+    # lo sits at the least s >= 0 with 2*s = -lo (mod m); lo + m is even
+    mods = np.asarray(moduli, dtype=np.int64)
+    starts = (-((lo + mods) // 2)) % mods
+    for s, m in zip(starts.tolist(), moduli):
+        keep[s::m] = False
+    primes.extend((lo + 2 * np.flatnonzero(keep)).tolist())
 
     moduli.append(b)
-    a, b = b, primes[primes.index(b) + 1]
-    return a, b, index, partition + 1, primes[-1]
+    index = ((b * b - 2) * a - 3) // 2
+    return b, primes[len(moduli)], index, partition + 1, primes[-1]
 
 
 def step_partition(state: GeneratorState, guard: str = "strict") -> GeneratorState:
     """Process one full partition and roll the anchors forward."""
-    if guard not in GUARDS:
-        raise ValueError(f"guard must be one of {GUARDS}, got {guard!r}")
+    _check_guard(guard)
     primes = list(state.primes)
     moduli = list(state.moduli)
     a, b, index, partition, last = _advance(
@@ -113,10 +110,8 @@ def step_partition(state: GeneratorState, guard: str = "strict") -> GeneratorSta
         moduli,
         state.prime_a,
         state.prime_b,
-        state.index,
         state.partition,
         state.last_element,
-        inclusive=guard == "inclusive",
     )
     return GeneratorState(
         tuple(primes), tuple(moduli), a, b, index, partition, last
@@ -137,19 +132,17 @@ def first_n_primes(
         raise ValueError(f"count must be >= 1, got {count}")
     if count > max_count:
         raise ResourceLimitError(f"count {count} exceeds cap {max_count}")
-    if guard not in GUARDS:
-        raise ValueError(f"guard must be one of {GUARDS}, got {guard!r}")
+    _check_guard(guard)
 
     needed = count - 1 if include_two else count
     state = initial_state()
     primes = list(state.primes)
     moduli = list(state.moduli)
     a, b = state.prime_a, state.prime_b
-    index, partition, last = state.index, state.partition, state.last_element
+    partition, last = state.partition, state.last_element
     while len(primes) < needed:
-        a, b, index, partition, last = _advance(
-            primes, moduli, a, b, index, partition, last,
-            inclusive=guard == "inclusive",
+        a, b, _, partition, last = _advance(
+            primes, moduli, a, b, partition, last
         )
     head = primes[:needed]
     return [2] + head if include_two else head

@@ -135,6 +135,20 @@ def test_gen_inclusive_guard_matches(capsys):
     assert strict == inclusive
 
 
+def test_gen_over_cap_exits_two(capsys):
+    code, _, err = run(capsys, "gen", "2000000")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_pi_over_sieve_cap_exits_two(capsys):
+    code, _, err = run(capsys, "pi", "1e9")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_tseries_examples(capsys):
     code, out, _ = run(capsys, "tseries", "3,5", "--limit", "31")
     assert code == 0
@@ -235,6 +249,16 @@ def test_bench_single_repeat(capsys):
     assert names[0] == "pi(oracle)" and names[1] == "pi(formula)"
     assert names[2].startswith("gen(")
     assert all(r["median_ns"] > 0 for r in data["rows"])
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bench_rejects_non_positive_repeats(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--repeats", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --repeats: must be >= 1" in err
+    assert "median" not in err
 
 
 def test_sieve_cache_env(capsys, monkeypatch, tmp_path):

@@ -2,6 +2,8 @@ import pytest
 
 from oddseq import first_n_primes, initial_state, step_partition
 from oddseq.errors import ResourceLimitError
+from oddseq.oracle import SieveTable
+from oddseq.primegen import DEFAULT_MAX_COUNT
 
 
 def test_first_primes_without_two():
@@ -26,6 +28,36 @@ def test_guards_agree():
     strict = first_n_primes(3000, guard="strict")
     inclusive = first_n_primes(3000, guard="inclusive")
     assert strict == inclusive
+
+
+def test_guards_give_the_same_state_per_partition():
+    state = initial_state()
+    for _ in range(50):
+        strict = step_partition(state, "strict")
+        assert step_partition(state, "inclusive") == strict
+        state = strict
+
+
+def test_matches_oracle_at_the_cap():
+    # the DEFAULT_MAX_COUNT-th prime is 15,485,863
+    want = [int(p) for p in SieveTable.build(15_485_863).primes()]
+    assert len(want) == DEFAULT_MAX_COUNT
+    assert first_n_primes(DEFAULT_MAX_COUNT) == want
+
+
+def test_counts_at_partition_boundaries(table):
+    """Counts that end exactly on a partition's last prime, and one either side."""
+    all_primes = [int(p) for p in table.primes()]
+    state = initial_state()
+    for _ in range(40):
+        state = step_partition(state)
+        odd_count = len(state.primes)
+        assert list(state.primes) == all_primes[1 : odd_count + 1]
+        for count in (odd_count - 1, odd_count, odd_count + 1):
+            assert first_n_primes(count, include_two=False) == (
+                all_primes[1 : count + 1]
+            )
+            assert first_n_primes(count + 1) == all_primes[: count + 1]
 
 
 def test_rejects_bad_arguments():
