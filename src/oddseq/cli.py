@@ -36,29 +36,50 @@ def _positive_number(text: str) -> float | int:
         return float(text)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
+def _warn(text: str) -> None:
+    print(f"warning: {text}", file=sys.stderr)
 
 
 def _get_table(limit: int) -> oracle.SieveTable:
-    """Sieve covering [2, limit], through the cache file if configured."""
+    """Sieve covering [2, limit], through the cache file if configured.
+
+    A cache that is missing, too small, truncated or corrupt is rebuilt
+    and rewritten; a file that is not a sieve cache is left untouched.
+    """
     path = os.environ.get("ODSQ_SIEVE_CACHE")
     if path and os.path.exists(path):
         try:
             table = oracle.SieveTable.load(path)
             if table.limit >= limit:
                 return table
+        except oracle.NotASieveFile:
+            _warn(f"{path} is not a sieve cache; leaving it unchanged")
+            path = None
         except (ValueError, OSError):
             pass
     table = oracle.SieveTable.build(max(limit, 3))
     if path:
-        table.dump(path)
+        try:
+            table.dump(path)
+        except OSError as exc:
+            _warn(f"could not write sieve cache {path}: {exc}")
     return table
 
 
@@ -118,7 +139,8 @@ def _position_index(args) -> int:
     return sequences.index_of(sequences.floor_element(args.at_x))
 
 
-def _eval_class(token: str, variant: str, n: int) -> int:
+def _eval_class(token: str, variant: str, n):
+    """A class's closed form at index n, or at every index of an array n."""
     if token == "3":
         return pcomposites.count_three_composites(n)
     if token.startswith("p:"):
@@ -270,24 +292,17 @@ def _oracle_sweep(token: str, n_max: int, table: oracle.SieveTable) -> np.ndarra
     if token.startswith("kpow:"):
         return oracle.count_class_upto(oracle.kpow(int(token[5:])), n_max)
     if token == "w":
-        bits = np.asarray(
-            [0 if table.is_prime(3 + 2 * i) else 1 for i in range(n_max + 1)],
-            dtype=np.int64,
-        )
-        return np.cumsum(bits)
+        primes = np.unpackbits(table.packed, count=n_max + 1, bitorder="little")
+        return np.cumsum(1 - primes, dtype=np.int64)
     raise ValueError(f"unknown class {token!r}")
 
 
 def _formula_sweep(token: str, variant: str, n_max: int) -> np.ndarray:
+    """Closed-form counts for every index 0..n_max, in one array pass."""
+    n = np.arange(n_max + 1, dtype=np.int64)
     if token == "w":
-        return np.asarray(
-            [counting.assemble_w(n, counting.Strategy.FORMULA) for n in range(n_max + 1)],
-            dtype=np.int64,
-        )
-    return np.asarray(
-        [_eval_class(token, variant, n) for n in range(n_max + 1)],
-        dtype=np.int64,
-    )
+        return counting.assemble_w(n, counting.Strategy.FORMULA)
+    return _eval_class(token, variant, n)
 
 
 def _cmd_verify(args) -> int:
@@ -481,12 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="differential check of closed forms against the oracle"
     )
-    p_verify.add_argument("--max-n", type=int, default=1000)
+    p_verify.add_argument("--max-n", type=_nonnegative_int, default=1000)
     p_verify.add_argument("--classes", default=DEFAULT_VERIFY_CLASSES)
     p_verify.add_argument(
         "--variant", choices=["exact", "classic", "both"], default="exact"
     )
-    p_verify.add_argument("--max-rows", type=int, default=10)
+    p_verify.add_argument("--max-rows", type=_nonnegative_int, default=10)
     add_format(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 

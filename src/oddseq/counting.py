@@ -16,15 +16,29 @@ Class counters follow the ascending-pair convention: a pair (k, l) is
 counted when both are odd, l >= k, and the product fits.  That makes
 9*5 a (3, 15) pair rather than a square pair, so permutations never
 double count.
+
+The counters and the formula route of assemble_w take an int index or
+an int64 index array.  Their sums run over every term that fits the
+largest element, and each term is multiplied by (u >= its first value),
+so it is zero wherever it does not apply yet.  Totals start at 0 * u,
+which keeps an array shape when no term applies at all.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .oracle import SieveTable
 from .sequences import element_at, floor_element, index_of
+
+
+def _largest(v) -> int:
+    """v itself for an int; the largest entry of an int array (0 if empty)."""
+    return int(v.max(initial=0)) if isinstance(v, np.ndarray) else v
 
 
 class Strategy(str, Enum):
@@ -42,15 +56,22 @@ def square_base_bound(n: int) -> int:
     return s if s % 2 else s - 1
 
 
-def nth_root_floor(value: int, j: int) -> int:
+def nth_root_floor(value, j: int):
     """Exact floor(value ** (1/j)) by binary search on integers.
 
     Floating-point roots misround at perfect-power boundaries, which is
-    precisely where the power counters need exactness.
+    precisely where the power counters need exactness.  For an int64
+    array the roots are ranks among the exact powers 1**j, 2**j, ...
     """
-    if value < 0 or j < 1:
-        raise ValueError(f"need value >= 0 and j >= 1, got {value}, {j}")
-    if j == 1 or value < 2:
+    low = int(value.min(initial=0)) if isinstance(value, np.ndarray) else value
+    if low < 0 or j < 1:
+        raise ValueError(f"need value >= 0 and j >= 1, got {low}, {j}")
+    if j == 1:
+        return value
+    if isinstance(value, np.ndarray):
+        powers = np.arange(1, nth_root_floor(_largest(value), j) + 1) ** j
+        return np.searchsorted(powers, value, "right")
+    if value < 2:
         return value
     lo, hi = 1, 1 << (value.bit_length() // j + 1)
     while lo < hi:
@@ -62,57 +83,39 @@ def nth_root_floor(value: int, j: int) -> int:
     return lo
 
 
-def count_kl(n: int) -> int:
+def count_kl(n):
     """Pairs (k, l), odd l >= k >= 3, with k*l <= 3 + 2*n.
 
     Counts with multiplicity: 45 contributes as (3, 15) and (5, 9).
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    u = element_at(n)
-    total = 0
-    for k in range(3, math.isqrt(u) + 1, 2):
-        total += (u - k * k) // (2 * k) + 1
-    return total
+    return _count_power_pairs(1, element_at(n))
 
 
-def count_kkl(n: int) -> int:
+def count_kkl(n):
     """Pairs (k, l), odd l >= k >= 3, with k*k*l <= 3 + 2*n."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    u = element_at(n)
-    total = 0
-    k = 3
-    while k * k * k <= u:
-        total += (u - k**3) // (2 * k * k) + 1
-        k += 2
-    return total
+    return _count_power_pairs(2, element_at(n))
 
 
-def count_kkl_classic(n: int) -> int:
+def count_kkl_classic(n):
     """The classic square-pair form, kept for comparison.
 
     Its per-k term lets the cofactor range over every element l >= 3
     instead of l >= k, so it drifts above count_kkl once 75 = 5*5*3
     enters at index 36.  `verify` reports the divergence.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
     u = element_at(n)
-    total = 0
-    for k in range(3, math.isqrt(u) + 1, 2):
-        total += (u - k * k) // (2 * k * k)
+    total = 0 * u
+    for k in range(3, math.isqrt(_largest(u)) + 1, 2):
+        total += (u - k * k) // (2 * k * k) * (u >= k * k)
     return total
 
 
-def count_kpow(j: int, n: int) -> int:
+def count_kpow(j: int, n):
     """Odd bases k >= 3 with k**j <= 3 + 2*n."""
     if j < 1:
         raise ValueError(f"exponent must be >= 1, got {j}")
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    root = nth_root_floor(element_at(n), j)
-    return (root - 3) // 2 + 1 if root >= 3 else 0
+    # the odd bases up to root are 1, 3, ..., and 1 is not counted
+    return (nth_root_floor(element_at(n), j) - 1) // 2
 
 
 # -- formula-strategy helper terms ---------------------------------------
@@ -129,109 +132,120 @@ def _odd_primes_upto(limit: int) -> list[int]:
     return [u for u in range(3, limit + 1, 2) if bits[u]]
 
 
-def _count_power_pairs(j: int, u: int) -> int:
-    """Pairs (k, l), odd l >= k, with k**j * l <= u."""
-    total = 0
-    k = 3
-    while k ** (j + 1) <= u:
-        total += (u - k ** (j + 1)) // (2 * k**j) + 1
-        k += 2
+def _count_power_pairs(j: int, u):
+    """Pairs (k, l), odd l >= k >= 3, with k**j * l <= u."""
+    total = 0 * u
+    for k in range(3, nth_root_floor(_largest(u), j + 1) + 1, 2):
+        kj = k**j
+        first = kj * k
+        total += ((u - first) // (2 * kj) + 1) * (u >= first)
     return total
 
 
-def _count_two_prime_cofactor(u: int) -> int:
+def _count_two_prime_cofactor(u):
     """Triples (k1, k2, l): odd primes k1 < k2, odd l >= k2, product <= u."""
-    total = 0
-    bound = math.isqrt(u // 3) + 1
-    primes = _odd_primes_upto(bound)
+    top = _largest(u)
+    total = 0 * u
+    primes = _odd_primes_upto(math.isqrt(top // 3) + 1)
     for i, k1 in enumerate(primes):
-        if k1 * (k1 + 2) ** 2 > u:
+        if k1 * (k1 + 2) ** 2 > top:
             break
         for k2 in primes[i + 1 :]:
-            if k1 * k2 * k2 > u:
+            first = k1 * k2 * k2
+            if first > top:
                 break
-            total += (u // (k1 * k2) - k2) // 2 + 1
+            total += ((u // (k1 * k2) - k2) // 2 + 1) * (u >= first)
     return total
 
 
-def _count_distinct_prime_products(r: int, u: int) -> int:
-    """Squarefree products of r distinct odd primes <= u."""
-    primes = _odd_primes_upto(u // max(3 ** (r - 1), 1) + 1)
+def _count_distinct_prime_products(r: int, u):
+    """Squarefree products of r distinct odd primes <= u.
 
-    def descend(start: int, remaining: int, product: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
+    Walks the ascending prefixes of r - 1 primes that fit the largest u;
+    the last prime of each product then ranges over a slice of the prime
+    list.  An int u counts the slices; an array u reads its counts off
+    the sorted products.
+    """
+    top = _largest(u)
+    primes = _odd_primes_upto(top // max(3 ** (r - 1), 1) + 1)
+    slices: list[tuple[int, int, int]] = []
+
+    def descend(start: int, remaining: int, product: int) -> None:
+        if remaining == 1:
+            end = bisect.bisect_right(primes, top // product)
+            slices.append((product, start, end))
+            return
         for i in range(start, len(primes)):
             p = primes[i]
-            if product * p**remaining > u:
+            if product * p**remaining > top:
                 break
-            total += descend(i + 1, remaining - 1, product * p)
-        return total
+            descend(i + 1, remaining - 1, product * p)
 
-    return descend(0, r, 1)
+    descend(0, r, 1)
+    if not isinstance(u, np.ndarray):
+        return sum(end - start for _, start, end in slices)
+    last = np.asarray(primes, dtype=np.int64)
+    products = [np.empty(0, dtype=np.int64)]
+    products += [product * last[start:end] for product, start, end in slices]
+    return np.searchsorted(np.sort(np.concatenate(products)), u, "right")
 
 
-def _w_formula_terms(n: int) -> tuple[int, dict[str, int]]:
-    """The alternating class combination and its per-term breakdown.
+def _w_formula_terms(n):
+    """The alternating class combination, one (name, count, weight) at a time.
 
-    Term mapping: the pair count, then for each power j >= 2 a
-    subtracted k**j-pair count and an added (j+1)-power count, then the
-    two-prime-cofactor triples, then (r - 1) times each squarefree
-    r-prime product count.  Overlap between classes is why the total is
-    approximate; the exact route is Strategy.ORACLE.
+    W_n is the sum of weight * count.  Term mapping: the pair count, then
+    for each power j >= 2 a subtracted k**j-pair count and an added
+    (j+1)-power count, then the two-prime-cofactor triples, then (r - 1)
+    times each squarefree r-prime product count.  Overlap between classes
+    is why the total is approximate; the exact route is Strategy.ORACLE.
+    For an index array every term is evaluated once over the whole range;
+    a class that has no member yet at some index contributes zero there.
     """
     u = element_at(n)
-    terms: dict[str, int] = {}
-    total = terms["kl"] = count_kl(n)
+    top = _largest(u)
+    yield "kl", count_kl(n), 1
 
     j = 2
-    while 3 ** (j + 1) <= u:
-        pairs = count_kkl(n) if j == 2 else _count_power_pairs(j, u)
-        terms["kkl" if j == 2 else f"kjl:{j}"] = pairs
-        total -= pairs
-        powers = count_kpow(j + 1, n)
-        terms[f"kpow:{j + 1}"] = powers
-        total += powers
+    while 3 ** (j + 1) <= top:
+        if j == 2:
+            yield "kkl", count_kkl(n), -1
+        else:
+            yield f"kjl:{j}", _count_power_pairs(j, u), -1
+        yield f"kpow:{j + 1}", count_kpow(j + 1, n), 1
         j += 1
 
-    two_prime = _count_two_prime_cofactor(u)
-    terms["two_prime_l"] = two_prime
-    total -= two_prime
+    yield "two_prime_l", _count_two_prime_cofactor(u), -1
 
     r = 3
     small_primes = _odd_primes_upto(64)
     min_r_product = 3 * 5 * 7
-    while min_r_product <= u:
-        count = _count_distinct_prime_products(r, u)
-        terms[f"multi:{r}"] = count
-        total -= (r - 1) * count
+    while min_r_product <= top:
+        yield f"multi:{r}", _count_distinct_prime_products(r, u), 1 - r
         r += 1
         if r - 1 >= len(small_primes):
             break
         min_r_product *= small_primes[r - 1]
-    return total, terms
 
 
 def assemble_w(
-    n: int, strategy: Strategy = Strategy.ORACLE, table: SieveTable | None = None
-) -> int:
+    n, strategy: Strategy = Strategy.ORACLE, table: SieveTable | None = None
+):
     """Number of distinct composites among the odds 3 .. 3 + 2*n.
 
     Strategy.ORACLE counts nonprime odds off the sieve bitmap (exact);
     Strategy.FORMULA evaluates the closed-form class combination, whose
-    deviation is reported by `verify` rather than patched over.
+    deviation is reported by `verify` rather than patched over.  Under
+    Strategy.FORMULA n may be an int64 index array, giving every W_n of
+    the range in one pass.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
     strategy = Strategy(strategy)
-    if strategy is Strategy.ORACLE:
-        u = element_at(n)
-        if table is None or table.limit < u:
-            table = SieveTable.build(max(u, 3))
-        return table.odd_composite_count(u)
-    total, _ = _w_formula_terms(n)
-    return total
+    if strategy is Strategy.FORMULA:
+        # one term array at a time: the terms are not kept
+        return sum(weight * count for _, count, weight in _w_formula_terms(n))
+    u = element_at(n)
+    if table is None or table.limit < u:
+        table = SieveTable.build(max(u, 3))
+    return table.odd_composite_count(u)
 
 
 @dataclass(frozen=True)
@@ -291,7 +305,9 @@ def pi_of(
         w_n = assemble_w(n, Strategy.ORACLE, table)
         counts: dict[str, int] = {}
     else:
-        w_n, counts = _w_formula_terms(n)
+        terms = list(_w_formula_terms(n))
+        counts = {name: count for name, count, _ in terms}
+        w_n = sum(weight * count for _, count, weight in terms)
     return PiBreakdown(
         x, strategy.value, n, m_n, w_n, 1, m_n - w_n + 1, counts
     )

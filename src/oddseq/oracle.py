@@ -8,7 +8,9 @@ for small limits and per-block popcounts for large ones.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import ResourceLimitError
 
 MAGIC = b"ODSQ"
+_HEADER = struct.Struct("<4sQ")  # magic, u64 limit
 DEFAULT_MAX_LIMIT = 10**8
 
 # dense cumulative prime ranks up to this limit; block ranks above
@@ -28,6 +31,10 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
 
 def _odd_index(u: int) -> int:
     return (u - 3) // 2
+
+
+class NotASieveFile(ValueError):
+    """A file whose first bytes are neither the sieve magic nor a prefix of it."""
 
 
 class SieveTable:
@@ -142,20 +149,39 @@ class SieveTable:
     # -- persistence -----------------------------------------------------
 
     def dump(self, path: str | Path) -> None:
-        """Write magic 'ODSQ', u64 little-endian limit, raw bitmap."""
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(self.packed.tobytes())
+        """Write magic 'ODSQ', u64 little-endian limit, raw bitmap.
+
+        The bytes go to a temporary file in the same directory, which
+        then replaces path, so a reader never sees a partial file.
+        """
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_HEADER.pack(MAGIC, self.limit))
+                fh.write(self.packed.tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "SieveTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != MAGIC:
-                raise ValueError(f"bad sieve file magic: {magic!r}")
-            (limit,) = struct.unpack("<Q", fh.read(8))
-            packed = np.frombuffer(fh.read(), dtype=np.uint8).copy()
+        """Read a file written by dump.
+
+        Raises NotASieveFile when the file does not start with the magic
+        (or, if shorter, a prefix of it), and ValueError when it is
+        truncated or inconsistent.
+        """
+        blob = Path(path).read_bytes()
+        if blob[:4] != MAGIC[: len(blob)]:
+            raise NotASieveFile(f"bad sieve file magic: {blob[:4]!r}")
+        if len(blob) < _HEADER.size:
+            raise ValueError(
+                f"sieve file has {len(blob)} bytes, shorter than its header"
+            )
+        _, limit = _HEADER.unpack_from(blob)
+        packed = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size).copy()
         n_odds = (limit - 1) // 2 if limit >= 3 else 0
         if len(packed) != (n_odds + 7) // 8:
             raise ValueError("sieve file bitmap length does not match limit")

@@ -10,6 +10,10 @@ variants keep two earlier closed forms for comparison: for p = 7 and 11
 they agree with enumeration everywhere, while the p = 5 form undercounts
 (first at index 11, where 25 enters).  The `verify` CLI command tracks
 the divergence.
+
+Every counter takes an int index or an int64 index array: a term that
+only exists from some threshold on is multiplied by (n >= threshold), so
+one body of plain arithmetic serves a single index and a whole range.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .sequences import element_at
+from .sequences import check_index, element_at
 
 CLASSIC_PRIMES = (5, 7, 11)
 
@@ -59,20 +63,17 @@ class ZCounter:
         phase = Fraction(2, 3) if p % 3 == 1 else Fraction(1, 3)
         return cls(p, threshold_index(p), p, phase)
 
-    def count(self, n: int) -> int:
-        if n < self.threshold:
-            return 0
+    def count(self, n):
         q = (n - self.threshold) // self.period
-        return 1 + q - (q + self.phase.numerator) // 3
+        return (1 + q - (q + self.phase.numerator) // 3) * (n >= self.threshold)
 
 
-def count_three_composites(n: int) -> int:
+def count_three_composites(n):
     """Composite odd multiples of 3 up to index n: 9, 15, 21, ...
 
     They sit at indices 3, 6, 9, ..., so the count is floor(n / 3).
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    check_index(n)
     return n // 3
 
 
@@ -81,39 +82,31 @@ def _counter(p: int) -> ZCounter:
     return ZCounter.for_prime(p)
 
 
-def count_p_composites(p: int, n: int) -> int:
+def count_p_composites(p: int, n):
     """Exact count of p-composites with value <= 3 + 2*n.
 
     Equals len(p_composite_values(p, n)) for every prime p >= 5.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    check_index(n)
     return _counter(p).count(n)
 
 
-def count_p_composites_classic(p: int, n: int) -> int:
+def count_p_composites_classic(p: int, n):
     """The classic closed forms, kept verbatim for p in (5, 7, 11).
 
     For 7 and 11 these match count_p_composites; the 5-form lacks the
     leading 1 + q term and undercounts from index 11 on.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    check_index(n)
     if p not in CLASSIC_PRIMES:
         raise ValueError(f"classic form exists only for {CLASSIC_PRIMES}")
     if p == 5:
-        if n < 11:
-            return 0
-        return ((n - 11) // 5 + 1) // 3
+        return ((n - 11) // 5 + 1) // 3 * (n >= 11)
     if p == 7:
-        if n < 23:
-            return 0
         q = (n - 23) // 7
-        return 1 + q - (q + 2) // 3
-    if n < 59:
-        return 0
+        return (1 + q - (q + 2) // 3) * (n >= 23)
     q = (n - 59) // 11
-    return 1 + q - (q + 1) // 3
+    return (1 + q - (q + 1) // 3) * (n >= 59)
 
 
 def p_composite_values(p: int, n: int) -> list[int]:
@@ -122,8 +115,6 @@ def p_composite_values(p: int, n: int) -> list[int]:
     Enumerated directly from the definition (p times odd m >= p with
     3 not dividing m); the closed-form counters are checked against it.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
     _check_counter_prime(p)
     u = element_at(n)
     out = []

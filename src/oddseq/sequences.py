@@ -5,6 +5,10 @@ counting its composite elements.  Elements and indices convert via
 
     element_at(n) = 3 + 2*n        index_of(u) = (u - 3) // 2
 
+Indices may also be int64 numpy arrays: element_at and the closed-form
+counters built on it then work elementwise, so a whole index range is
+evaluated in one call.
+
 A wheel is the subsequence of odds coprime to a fixed set of odd primes;
 it repeats with period 2 * product(divisors) and still contains every
 prime above the largest divisor.
@@ -14,13 +18,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import ResourceLimitError
+
 U64_MAX = 2**64 - 1
 
 FIRST_ELEMENT = 3
 
+# build_wheel enumerates period // 2 odd residues; above this it refuses
+MAX_WHEEL_RESIDUES = 2**15
 
-def element_at(n: int) -> int:
-    """Return the n-th odd number of the sequence, 3 + 2*n."""
+
+def check_index(n) -> None:
+    """Raise ValueError unless index n, or every entry of an array n, is >= 0."""
+    low = int(n.min(initial=0)) if isinstance(n, np.ndarray) else n
+    if low < 0:
+        raise ValueError(f"index must be >= 0, got {low}")
+
+
+def element_at(n):
+    """Return the n-th odd number of the sequence, 3 + 2*n.
+
+    An int64 index array gives the array of elements.
+    """
+    if isinstance(n, np.ndarray):
+        check_index(n)
+        return 3 + 2 * n
+    # the int path stays inline: pi_of goes through it on every query
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     u = 3 + 2 * n
@@ -80,7 +105,8 @@ def build_wheel(divisors) -> WheelSpec:
     """Build the wheel for a set of distinct odd primes.
 
     Raises ValueError for an empty set, a repeated divisor, or any
-    divisor that is not an odd prime.
+    divisor that is not an odd prime, and ResourceLimitError when one
+    period holds more than MAX_WHEEL_RESIDUES odd residues.
     """
     divs = tuple(sorted(divisors))
     if not divs:
@@ -92,6 +118,11 @@ def build_wheel(divisors) -> WheelSpec:
             raise ValueError(f"divisor must be an odd prime, got {d}")
 
     period = 2 * math.prod(divs)
+    if period // 2 > MAX_WHEEL_RESIDUES:
+        raise ResourceLimitError(
+            f"wheel of {divs} has {period // 2} odd residues per period,"
+            f" above the cap {MAX_WHEEL_RESIDUES}"
+        )
     offsets = tuple(
         r for r in range(1, period, 2) if all(r % d for d in divs)
     )

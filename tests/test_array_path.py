@@ -1,0 +1,103 @@
+"""Closed forms over an index array agree with the same forms at one index."""
+import numpy as np
+import pytest
+
+from oddseq import (
+    Strategy,
+    assemble_w,
+    count_kl,
+    count_kkl,
+    count_kkl_classic,
+    count_kpow,
+    count_p_composites,
+    count_p_composites_classic,
+    count_three_composites,
+    nth_root_floor,
+    pi_of,
+)
+
+N_MAX = 3000
+
+# every default verify class, and the classic variants verify can show
+CLOSED_FORMS = {
+    "3": count_three_composites,
+    "p:5": lambda n: count_p_composites(5, n),
+    "p:7": lambda n: count_p_composites(7, n),
+    "p:11": lambda n: count_p_composites(11, n),
+    "kl": count_kl,
+    "kkl": count_kkl,
+    "kpow:2": lambda n: count_kpow(2, n),
+    "kpow:3": lambda n: count_kpow(3, n),
+    "p:5[classic]": lambda n: count_p_composites_classic(5, n),
+    "p:7[classic]": lambda n: count_p_composites_classic(7, n),
+    "p:11[classic]": lambda n: count_p_composites_classic(11, n),
+    "kkl[classic]": count_kkl_classic,
+    "kpow:1": lambda n: count_kpow(1, n),
+    "kpow:7": lambda n: count_kpow(7, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_array_matches_scalar_for_every_index(name):
+    fn = CLOSED_FORMS[name]
+    got = fn(np.arange(N_MAX + 1, dtype=np.int64))
+    assert isinstance(got, np.ndarray) and got.shape == (N_MAX + 1,)
+    want = [fn(n) for n in range(N_MAX + 1)]
+    assert all(type(v) is int for v in want)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_array_keeps_its_shape_below_every_threshold(name):
+    got = CLOSED_FORMS[name](np.arange(2, dtype=np.int64))
+    assert got.shape == (2,)
+
+
+def test_w_formula_over_a_range_matches_each_index():
+    got = assemble_w(np.arange(N_MAX + 1), Strategy.FORMULA)
+    want = [assemble_w(n, Strategy.FORMULA) for n in range(N_MAX + 1)]
+    assert got.tolist() == want
+
+
+def test_w_formula_at_sampled_indices_up_to_1e5():
+    n_max = 10**5
+    got = assemble_w(np.arange(n_max + 1), Strategy.FORMULA)
+    rng = np.random.default_rng(3)
+    samples = {n_max, 51, 52, 1154, 1155, 15014, 15015}
+    samples.update(int(n) for n in rng.integers(3000, n_max, size=25))
+    for n in sorted(samples):
+        assert got[n] == assemble_w(n, Strategy.FORMULA), n
+
+
+def test_w_formula_on_an_unordered_index_array():
+    n = np.array([900, 0, 51, 4000, 52, 3], dtype=np.int64)
+    got = assemble_w(n, Strategy.FORMULA)
+    assert got.tolist() == [assemble_w(int(i), Strategy.FORMULA) for i in n]
+
+
+def test_nth_root_floor_on_arrays():
+    values = np.concatenate([np.arange(0, 5000), [3**20 - 1, 3**20, 7**9]])
+    for j in (1, 2, 3, 5, 9):
+        got = nth_root_floor(values, j)
+        assert got.tolist() == [nth_root_floor(int(v), j) for v in values]
+
+
+def test_scalar_callers_keep_python_ints():
+    big = count_p_composites(5, 2**80)
+    q = (2**80 - 11) // 5
+    assert type(big) is int and big == 1 + q - (q + 1) // 3
+    assert type(count_three_composites(10)) is int
+    assert type(count_kl(100)) is int
+    assert type(count_kpow(2, 100)) is int
+    assert type(assemble_w(500, Strategy.FORMULA)) is int
+    breakdown = pi_of(10**5, Strategy.FORMULA)
+    assert all(type(v) is int for v in breakdown.class_counts.values())
+
+
+def test_arrays_reject_negative_indices():
+    bad = np.array([3, -1, 5], dtype=np.int64)
+    for fn in CLOSED_FORMS.values():
+        with pytest.raises(ValueError):
+            fn(bad)
+    with pytest.raises(ValueError):
+        assemble_w(bad, Strategy.FORMULA)

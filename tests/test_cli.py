@@ -280,3 +280,74 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--max-rows"])
+def test_verify_rejects_negative_sizes(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--classes", "w", flag, "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}: must be >= 0, got -1" in err
+
+
+def test_verify_max_rows_zero_keeps_summaries(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--max-n", "60", "--classes", "w",
+        "--max-rows", "0", "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["rows"] == []
+    assert data["summaries"][0]["mismatches"] == 10
+
+
+def test_verify_w_over_a_hundred_thousand_indices(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--classes", "w", "--max-n", "100000",
+        "--format", "json",
+    )
+    assert code == 0
+    summary = json.loads(out)["summaries"][0]
+    assert summary["class"] == "w[formula]"
+    assert summary["checked"] == 100001
+    assert summary["mismatches"] == 100000 - 50
+    assert summary["first_mismatch"] == 51
+
+
+def test_sieve_cache_shorter_than_header_is_rebuilt(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "sieve.odsq"
+    path.write_bytes(b"ODSQ")
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+    code, out, err = run(capsys, "pi", "100")
+    assert code == 0 and "pi = 25" in out
+    assert "Traceback" not in err
+    blob = path.read_bytes()
+    assert blob[:4] == b"ODSQ" and len(blob) > 12
+
+
+def test_sieve_cache_leaves_a_foreign_file_alone(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"not a sieve cache\n")
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+    code, out, err = run(capsys, "pi", "100")
+    assert code == 0 and "pi = 25" in out
+    assert path.read_bytes() == b"not a sieve cache\n"
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_tseries_wheel_over_cap_exits_two(capsys):
+    code, _, err = run(capsys, "tseries", "3,5,7,11,13,17,19,23", "--limit", "10")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_sieve_cache_in_a_missing_directory_warns(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(tmp_path / "gone" / "sieve.odsq"))
+    code, out, err = run(capsys, "pi", "100")
+    assert code == 0 and "pi = 25" in out
+    assert err.startswith("warning:") and "Traceback" not in err

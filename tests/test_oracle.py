@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oddseq import oracle
 from oddseq.errors import ResourceLimitError
 from oddseq.oracle import (
     KKL,
     KL,
     CompositePattern,
+    NotASieveFile,
     SieveTable,
     count_class,
     count_class_upto,
@@ -110,6 +113,56 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         SieveTable.load(path)
+
+
+def test_load_rejects_files_shorter_than_the_header(tmp_path):
+    path = tmp_path / "short.odsq"
+    SieveTable.build(1000).dump(path)
+    blob = path.read_bytes()
+    for size in range(12):
+        path.write_bytes(blob[:size])
+        with pytest.raises(ValueError) as exc:
+            SieveTable.load(path)
+        assert not isinstance(exc.value, NotASieveFile)
+
+
+def test_load_flags_a_foreign_file(tmp_path):
+    path = tmp_path / "foreign"
+    for blob in (b"x", b"PK\x03\x04" + b"\x00" * 40):
+        path.write_bytes(blob)
+        with pytest.raises(NotASieveFile):
+            SieveTable.load(path)
+
+
+def test_dump_replaces_the_file_through_a_sibling(tmp_path, monkeypatch):
+    path = tmp_path / "cache.odsq"
+    path.write_bytes(b"ODSQ old")
+    moves = []
+    real_replace = oracle.os.replace
+
+    def spy(src, dst):
+        moves.append((src, dst))
+        assert path.read_bytes() == b"ODSQ old"  # untouched until the swap
+        real_replace(src, dst)
+
+    monkeypatch.setattr(oracle.os, "replace", spy)
+    SieveTable.build(1000).dump(path)
+    [(src, dst)] = moves
+    assert Path(src).parent == tmp_path and Path(dst) == path
+    assert SieveTable.load(path).prime_count(1000) == 168
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_dump_keeps_the_old_file(tmp_path):
+    path = tmp_path / "cache.odsq"
+    SieveTable.build(1000).dump(path)
+    before = path.read_bytes()
+    broken = SieveTable.build(1000)
+    broken.packed = None  # tobytes() fails mid-write
+    with pytest.raises(AttributeError):
+        broken.dump(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_load_rejects_truncated_bitmap(tmp_path):

@@ -110,7 +110,7 @@ def test_moduli_after_k_partitions(table):
 
 def test_partition_completeness_against_oracle(table):
     """Each partition contributes exactly the primes in (last, b*b)."""
-    prime_set = set(int(p) for p in table.primes())
+    all_primes = sorted(set(int(p) for p in table.primes()))
     state = initial_state()
     for _ in range(50):
         before = state.primes
@@ -118,7 +118,7 @@ def test_partition_completeness_against_oracle(table):
         state = step_partition(state)
         added = state.primes[len(before) :]
         lo = before[-1]
-        want = [p for p in sorted(prime_set) if lo < p < upper]
+        want = [p for p in all_primes if lo < p < upper]
         assert list(added) == want
 
 

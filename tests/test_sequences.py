@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from oddseq import (
@@ -11,6 +12,7 @@ from oddseq import (
     index_of,
     wheel_elements,
 )
+from oddseq.errors import ResourceLimitError
 
 
 def test_element_at_values():
@@ -150,3 +152,18 @@ def test_wheel_seed_values_are_prime():
         for s in spec.seeds:
             assert s > max(divisors)
             assert all(s % d for d in range(2, math.isqrt(s) + 1)), s
+
+
+def test_element_at_on_an_index_array():
+    n = np.arange(6, dtype=np.int64)
+    assert element_at(n).tolist() == [3, 5, 7, 9, 11, 13]
+    with pytest.raises(ValueError):
+        element_at(np.array([2, -4], dtype=np.int64))
+
+
+def test_build_wheel_refuses_more_residues_than_the_cap():
+    assert build_wheel([3, 5, 7, 11, 13]).period == 30030
+    with pytest.raises(ResourceLimitError):
+        build_wheel([3, 5, 7, 11, 13, 17])
+    with pytest.raises(ResourceLimitError):
+        build_wheel([3, 5, 7, 11, 13, 17, 19, 23])
