@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import platform
 import statistics
 import sys
 import time
@@ -399,33 +400,32 @@ def _cmd_bench(args) -> int:
     n_primes = table.prime_count(x_max)
     gen_count = min(n_primes, 20_000)
 
+    def first_query():
+        # the first query on a fresh table builds its rank table
+        return oracle.SieveTable(table.limit, table.packed).prime_count(x_max)
+
+    layers = [
+        ("pi(oracle)",
+         lambda: counting.pi_of(x_max, counting.Strategy.ORACLE, table)),
+        ("pi(formula)",
+         lambda: counting.pi_of(x_max, counting.Strategy.FORMULA)),
+        (f"gen({gen_count})", lambda: primegen.first_n_primes(gen_count)),
+        ("sieve build", lambda: oracle.SieveTable.build(max(x_max, 3))),
+        ("rank build", first_query),
+        ("rank query", lambda: table.prime_count(x_max)),
+    ]
     rows = [
-        {
-            "name": "pi(oracle)",
-            "x": x_max,
-            "median_ns": _median_ns(
-                lambda: counting.pi_of(x_max, counting.Strategy.ORACLE, table),
-                repeats,
-            ),
-        },
-        {
-            "name": "pi(formula)",
-            "x": x_max,
-            "median_ns": _median_ns(
-                lambda: counting.pi_of(x_max, counting.Strategy.FORMULA),
-                repeats,
-            ),
-        },
-        {
-            "name": f"gen({gen_count})",
-            "x": x_max,
-            "median_ns": _median_ns(
-                lambda: primegen.first_n_primes(gen_count), repeats
-            ),
-        },
+        {"name": name, "x": x_max, "median_ns": _median_ns(fn, repeats)}
+        for name, fn in layers
     ]
     if args.format == "json":
-        _emit(json.dumps({"repeats": repeats, "rows": rows}, indent=2))
+        _emit(json.dumps({
+            "repeats": repeats,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+            "rows": rows,
+        }, indent=2))
     elif args.format == "csv":
         _emit(_render_csv(
             ["name", "x", "median_ns"],

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import SieveTable
+from .oracle import SieveTable, _odd_primes_upto
 from .sequences import element_at, floor_element, index_of
 
 
@@ -119,17 +119,6 @@ def count_kpow(j: int, n):
 
 
 # -- formula-strategy helper terms ---------------------------------------
-
-
-def _odd_primes_upto(limit: int) -> list[int]:
-    if limit < 3:
-        return []
-    bits = bytearray([1]) * (limit + 1)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if bits[p]:
-            step = 2 * p
-            bits[p * p :: step] = b"\x00" * len(bits[p * p :: step])
-    return [u for u in range(3, limit + 1, 2) if bits[u]]
 
 
 def _count_power_pairs(j: int, u):
@@ -238,7 +227,8 @@ def assemble_w(
     Strategy.FORMULA n may be an int64 index array, giving every W_n of
     the range in one pass.
     """
-    strategy = Strategy(strategy)
+    if type(strategy) is not Strategy:
+        strategy = Strategy(strategy)
     if strategy is Strategy.FORMULA:
         # one term array at a time: the terms are not kept
         return sum(weight * count for _, count, weight in _w_formula_terms(n))
@@ -248,7 +238,7 @@ def assemble_w(
     return table.odd_composite_count(u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiBreakdown:
     """pi(x) with the quantities it was assembled from.
 
@@ -295,14 +285,15 @@ def pi_of(
     """
     if x < 2:
         raise ValueError(f"pi is defined for x >= 2, got {x}")
-    strategy = Strategy(strategy)
+    if type(strategy) is not Strategy:
+        strategy = Strategy(strategy)
     if x < 3:
         return PiBreakdown(x, strategy.value, None, 0, 0, 1, 1)
 
     n = index_of(floor_element(x))
     m_n = n + 1
     if strategy is Strategy.ORACLE:
-        w_n = assemble_w(n, Strategy.ORACLE, table)
+        w_n = assemble_w(n, strategy, table)
         counts: dict[str, int] = {}
     else:
         terms = list(_w_formula_terms(n))

@@ -2,11 +2,13 @@
 
 Everything here is deliberately brute force and shares no arithmetic with
 the closed-form counters it validates.  The sieve is bit-packed (one bit
-per odd number); prime-rank queries go through a dense cumulative table
-for small limits and per-block popcounts for large ones.
+per odd number) and built segment by segment, so the only full-size
+array is the packed bitmap.  Prime-rank queries read a cumulative count
+per 512-odd block and popcount the rest of the block.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -22,15 +24,36 @@ MAGIC = b"ODSQ"
 _HEADER = struct.Struct("<4sQ")  # magic, u64 limit
 DEFAULT_MAX_LIMIT = 10**8
 
-# dense cumulative prime ranks up to this limit; block ranks above
-_DENSE_RANK_LIMIT = 2**24
-_BLOCK_ODDS = 8192  # odds per rank block (1024 packed bytes)
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
+_SEGMENT_ODDS = 2**20  # odds sieved at a time: a 1 MB bool buffer
 
 
-def _odd_index(u: int) -> int:
-    return (u - 3) // 2
+def _odd_primes_upto(limit: int) -> list[int]:
+    """The odd primes <= limit, ascending."""
+    if limit < 3:
+        return []
+    n = (limit - 1) // 2  # byte i stands for the odd 3 + 2*i
+    bits = bytearray(b"\x01") * n
+    for i in range((math.isqrt(limit) - 1) // 2):
+        if bits[i]:
+            p = 2 * i + 3
+            j = (p * p - 3) // 2
+            bits[j::p] = bytes(len(range(j, n, p)))
+    return list(itertools.compress(range(3, limit + 1, 2), bits))
+
+
+def _sieve_segment(segment: np.ndarray, lo: int, primes: list[int]):
+    """Sieve segment, the odds from 3 + 2*lo on, by primes; return it packed."""
+    segment.fill(True)
+    m = len(segment)
+    for p in primes:
+        # p*p and the odd multiples above it: odd indices (p*p - 3) / 2 + k*p
+        i = (p * p - 3) // 2 - lo
+        if i < 0:
+            i %= p
+        elif i >= m:
+            break
+        segment[i::p].fill(False)  # far cheaper than `= False`
+    return np.packbits(segment, bitorder="little")
 
 
 class NotASieveFile(ValueError):
@@ -47,13 +70,11 @@ class SieveTable:
     def __init__(self, limit: int, packed: np.ndarray):
         self.limit = limit
         self.packed = packed
-        self._n_odds = (limit - 1) // 2 if limit >= 3 else 0
-        self._dense_rank: np.ndarray | None = None
-        self._block_rank: np.ndarray | None = None
+        self._block_rank = None  # built by the first rank query
 
     @classmethod
     def build(cls, limit: int, max_limit: int = DEFAULT_MAX_LIMIT) -> "SieveTable":
-        """Sieve of Eratosthenes over the odds up to limit."""
+        """Segmented sieve of Eratosthenes over the odds up to limit."""
         if limit < 2:
             raise ValueError(f"limit must be >= 2, got {limit}")
         if limit > max_limit:
@@ -61,12 +82,15 @@ class SieveTable:
                 f"sieve limit {limit} exceeds cap {max_limit}"
             )
         n_odds = (limit - 1) // 2 if limit >= 3 else 0
-        bits = np.ones(n_odds, dtype=bool)
-        for p in range(3, math.isqrt(limit) + 1, 2):
-            if bits[(p - 3) // 2]:
-                first = (p * p - 3) // 2
-                bits[first::p] = False
-        packed = np.packbits(bits, bitorder="little")
+        primes = _odd_primes_upto(math.isqrt(limit))
+        if n_odds <= _SEGMENT_ODDS:
+            return cls(limit, _sieve_segment(np.empty(n_odds, bool), 0, primes))
+        packed = np.empty((n_odds + 7) // 8, dtype=np.uint8)
+        buffer = np.empty(_SEGMENT_ODDS, dtype=bool)
+        for lo in range(0, n_odds, _SEGMENT_ODDS):
+            bits = _sieve_segment(buffer[: n_odds - lo], lo, primes)
+            # lo is a multiple of 8, so each segment starts on a byte
+            packed[lo // 8 : lo // 8 + len(bits)] = bits
         return cls(limit, packed)
 
     # -- queries ---------------------------------------------------------
@@ -78,43 +102,27 @@ class SieveTable:
             return True
         if u % 2 == 0:
             return False
-        i = _odd_index(u)
+        i = (u - 3) // 2
         return bool((self.packed[i >> 3] >> (i & 7)) & 1)
 
-    def _ranks(self):
-        if self._n_odds == 0:
-            return
-        if self.limit <= _DENSE_RANK_LIMIT:
-            if self._dense_rank is None:
-                bits = np.unpackbits(
-                    self.packed, count=self._n_odds, bitorder="little"
-                )
-                self._dense_rank = np.cumsum(bits, dtype=np.int64)
-        elif self._block_rank is None:
-            per_byte = _POPCOUNT[self.packed]
-            nbytes = len(per_byte)
-            blk = _BLOCK_ODDS // 8
-            pad = (-nbytes) % blk
-            if pad:
-                per_byte = np.concatenate(
-                    [per_byte, np.zeros(pad, dtype=np.uint32)]
-                )
-            sums = per_byte.reshape(-1, blk).sum(axis=1, dtype=np.int64)
-            self._block_rank = np.concatenate([[0], np.cumsum(sums)])
+    def _build_block_rank(self) -> None:
+        """Odd primes before each block of 512 odds (64 packed bytes)."""
+        n_blocks = len(self.packed) // 64  # a partial last block needs no sum
+        words = self.packed[: 64 * n_blocks].view(np.uint64)
+        sums = np.bitwise_count(words).reshape(-1, 8).sum(axis=1, dtype=np.int64)
+        rank = np.concatenate(([0], np.cumsum(sums)))
+        # memoryviews index to Python ints and slice without copying
+        self._bytes = memoryview(self.packed)
+        self._block_rank = memoryview(rank)
 
     def _odd_prime_rank(self, i: int) -> int:
         """Number of odd primes among the odds 3 .. 3+2*i."""
-        self._ranks()
-        if self._dense_rank is not None:
-            return int(self._dense_rank[i])
-        blk = i // _BLOCK_ODDS
-        count = int(self._block_rank[blk])
-        b0 = blk * (_BLOCK_ODDS // 8)
-        b1 = i >> 3
-        if b1 > b0:
-            count += int(_POPCOUNT[self.packed[b0:b1]].sum())
-        tail = int(self.packed[b1]) & ((1 << ((i & 7) + 1)) - 1)
-        return count + bin(tail).count("1")
+        if self._block_rank is None:
+            self._build_block_rank()
+        block = i >> 9
+        bits = int.from_bytes(self._bytes[block << 6 : (i >> 3) + 1], "little")
+        tail = bits & ((2 << (i & 511)) - 1)
+        return self._block_rank[block] + tail.bit_count()
 
     def prime_count(self, x: float | int) -> int:
         """Exact number of primes <= x."""
@@ -125,7 +133,7 @@ class SieveTable:
         u = int(x)
         if u % 2 == 0:
             u -= 1
-        return 1 + self._odd_prime_rank(_odd_index(u))
+        return 1 + self._odd_prime_rank((u - 3) // 2)
 
     def odd_composite_count(self, u: int) -> int:
         """Number of composite odd numbers in [3, u]."""
@@ -133,7 +141,7 @@ class SieveTable:
             raise ValueError(f"{u} outside sieve range [3, {self.limit}]")
         if u % 2 == 0:
             u -= 1
-        i = _odd_index(u)
+        i = (u - 3) // 2
         return (i + 1) - self._odd_prime_rank(i)
 
     def primes(self, upto: int | None = None) -> np.ndarray:
@@ -231,16 +239,6 @@ def kpow(j: int) -> CompositePattern:
 
 def multi(r: int) -> CompositePattern:
     return CompositePattern("multi", r)
-
-
-def _odd_primes_upto(limit: int) -> list[int]:
-    if limit < 3:
-        return []
-    bits = bytearray([1]) * (limit + 1)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if bits[p]:
-            bits[p * p :: 2 * p] = b"\x00" * len(bits[p * p :: 2 * p])
-    return [u for u in range(3, limit + 1, 2) if bits[u]]
 
 
 def count_class(pattern: CompositePattern, n: int) -> int:

@@ -28,6 +28,9 @@ FIRST_ELEMENT = 3
 
 # build_wheel enumerates period // 2 odd residues; above this it refuses
 MAX_WHEEL_RESIDUES = 2**15
+# wheel_elements lists about limit * len(offsets) / period elements; above
+# this it refuses, as first_n_primes does above its DEFAULT_MAX_COUNT
+MAX_WHEEL_ELEMENTS = 1_000_000
 
 
 def check_index(n) -> None:
@@ -140,8 +143,16 @@ def build_wheel(divisors) -> WheelSpec:
 def wheel_elements(spec: WheelSpec, limit: int) -> list[int]:
     """All wheel elements in [min(seeds), limit], strictly increasing.
 
-    Returns an empty list when limit falls below the first seed.
+    Returns an empty list when limit falls below the first seed, and
+    raises ResourceLimitError, before enumerating, when the stream up to
+    limit holds more than about MAX_WHEEL_ELEMENTS elements.
     """
+    if limit * len(spec.offsets) > MAX_WHEEL_ELEMENTS * spec.period:
+        raise ResourceLimitError(
+            f"wheel stream up to {limit} has about"
+            f" {limit * len(spec.offsets) // spec.period} elements,"
+            f" above the cap {MAX_WHEEL_ELEMENTS}"
+        )
     start = min(spec.seeds)
     out = []
     base = (start // spec.period) * spec.period

@@ -248,7 +248,9 @@ def test_bench_single_repeat(capsys):
     names = [r["name"] for r in data["rows"]]
     assert names[0] == "pi(oracle)" and names[1] == "pi(formula)"
     assert names[2].startswith("gen(")
+    assert names[3:] == ["sieve build", "rank build", "rank query"]
     assert all(r["median_ns"] > 0 for r in data["rows"])
+    assert {"python", "numpy", "machine"} <= set(data)
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -344,6 +346,12 @@ def test_tseries_wheel_over_cap_exits_two(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_tseries_limit_over_cap_exits_two(capsys):
+    code, out, err = run(capsys, "tseries", "3", "--limit", "10000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "above the cap" in err
 
 
 def test_sieve_cache_in_a_missing_directory_warns(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from oddseq import (
@@ -141,6 +143,25 @@ def test_pi_breakdown_identity(table):
 def test_pi_breakdown_rejects_unbalanced():
     with pytest.raises(ValueError):
         PiBreakdown(10, "oracle", 3, 4, 1, 1, 7)
+
+
+def test_pi_breakdown_is_frozen(table):
+    b = pi_of(100, Strategy.ORACLE, table)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.pi = 26
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.w_n = 0
+    assert b.pi == 25
+
+
+def test_strategy_given_as_a_string(table):
+    for x in (2, 3, 1000, 999_999.5):
+        assert pi_of(x, "oracle", table) == pi_of(x, Strategy.ORACLE, table)
+    assert pi_of(1000, "oracle", table).strategy == "oracle"
+    assert pi_of(1000, "formula") == pi_of(1000, Strategy.FORMULA)
+    assert assemble_w(500, "oracle", table) == assemble_w(500, Strategy.ORACLE, table)
+    with pytest.raises(ValueError):
+        pi_of(1000, "sieve", table)
 
 
 def test_pi_formula_strategy_reports_terms():

@@ -1,4 +1,5 @@
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_prime_count_matches_trial_division_at_random_points(table):
 
 
 def test_block_rank_path_agrees_with_dense():
-    # above 2**24 ranks switch to per-block popcounts
+    # a table of many sieve segments and rank blocks against a one-segment one
     big = SieveTable.build(17_000_000)
     assert big.prime_count(10**6) == 78498
     assert big.prime_count(10**7) == 664579
@@ -225,3 +226,88 @@ def test_factorize_recomposes(table):
 def test_factorize_rejects_below_two():
     with pytest.raises(ValueError):
         factorize_ascending(1)
+
+
+# -- segmented sieve and block rank against a plain sieve -------------------
+
+
+def plain_odd_sieve(limit):
+    """Primality of the odds 3, 5, ..., limit from one unsegmented sieve."""
+    bits = np.ones((limit - 1) // 2 if limit >= 3 else 0, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if bits[(p - 3) // 2]:
+            bits[(p * p - 3) // 2 :: p] = False
+    return bits
+
+
+def plain_packed(limit):
+    return np.packbits(plain_odd_sieve(limit), bitorder="little")
+
+
+SEGMENT = oracle._SEGMENT_ODDS
+# limits whose last odd is one before, at and one after a segment edge
+SEGMENT_EDGE_LIMITS = [
+    2 * n_odds + extra
+    for edge in (SEGMENT, 2 * SEGMENT)
+    for n_odds in (edge - 1, edge, edge + 1)
+    for extra in (1, 2)
+]
+
+
+def test_packed_matches_plain_sieve_up_to_3000():
+    for limit in range(2, 3001):
+        packed = SieveTable.build(limit).packed
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == plain_packed(limit).tobytes(), limit
+
+
+@pytest.mark.parametrize("limit", [10**k for k in range(1, 9)] + SEGMENT_EDGE_LIMITS)
+def test_packed_matches_plain_sieve(limit):
+    assert SieveTable.build(limit).packed.tobytes() == plain_packed(limit).tobytes()
+
+
+@pytest.fixture(scope="module")
+def multi_segment():
+    limit = 3_000_001  # 1.5e6 odds: more than one segment
+    assert (limit - 1) // 2 > SEGMENT
+    return SieveTable.build(limit), np.cumsum(plain_odd_sieve(limit))
+
+
+def check_ranks(table, rank, indices):
+    """Compare both rank queries at odd indices with a cumulative count."""
+    for i in indices:
+        u = 3 + 2 * i
+        assert table.prime_count(u) == 1 + rank[i], u
+        assert table.odd_composite_count(u) == i + 1 - rank[i], u
+        if u < table.limit:
+            assert table.prime_count(u + 1) == 1 + rank[i], u + 1
+
+
+def test_ranks_at_every_block_edge(multi_segment):
+    table, rank = multi_segment
+    n_odds = len(rank)
+    edges = {
+        i for e in range(0, n_odds + 512, 512)
+        for i in (e - 1, e, e + 1) if 0 <= i < n_odds
+    }
+    check_ranks(table, rank, sorted(edges | {n_odds - 1}))  # and the last odd
+
+
+def test_ranks_at_each_bit_of_one_block(multi_segment):
+    table, rank = multi_segment
+    first = SEGMENT + 3 * 512  # a block inside the second segment
+    check_ranks(table, rank, range(first - 1, first + 513))
+
+
+def test_loaded_table_answers_as_built(multi_segment, tmp_path):
+    built, rank = multi_segment
+    path = tmp_path / "cache.odsq"
+    # written byte by byte from the format, not by SieveTable.dump
+    header = struct.pack("<4sQ", b"ODSQ", built.limit)
+    path.write_bytes(header + plain_packed(built.limit).tobytes())
+    loaded = SieveTable.load(path)
+    assert loaded.limit == built.limit
+    assert loaded.packed.tobytes() == built.packed.tobytes()
+    rng = np.random.default_rng(3)
+    indices = sorted(int(i) for i in rng.integers(0, len(rank), size=2000))
+    check_ranks(loaded, rank, indices + [0, len(rank) - 1])

@@ -13,6 +13,7 @@ from oddseq import (
     wheel_elements,
 )
 from oddseq.errors import ResourceLimitError
+from oddseq.sequences import MAX_WHEEL_ELEMENTS
 
 
 def test_element_at_values():
@@ -167,3 +168,14 @@ def test_build_wheel_refuses_more_residues_than_the_cap():
         build_wheel([3, 5, 7, 11, 13, 17])
     with pytest.raises(ResourceLimitError):
         build_wheel([3, 5, 7, 11, 13, 17, 19, 23])
+
+
+def test_wheel_elements_refuses_more_elements_than_the_cap():
+    three = build_wheel([3])  # 2 odd residues in each period of 6
+    top = 3 * MAX_WHEEL_ELEMENTS  # about MAX_WHEEL_ELEMENTS elements
+    assert len(wheel_elements(three, top)) == MAX_WHEEL_ELEMENTS - 1
+    with pytest.raises(ResourceLimitError):
+        wheel_elements(three, top + 3)
+    # refused before enumerating: this stream would not fit in memory
+    with pytest.raises(ResourceLimitError):
+        wheel_elements(build_wheel([3, 5]), 10**30)
