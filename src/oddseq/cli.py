@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
+import functools
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -29,15 +32,22 @@ DEFAULT_VERIFY_CLASSES = "3,p:5,p:7,p:11,kl,kkl,kpow:2,kpow:3,w"
 
 CLASSIC_CLASSES = {"p:5", "p:7", "p:11", "kkl"}
 
+MAX_BENCH_REPEATS = 100
 
-def _positive_number(text: str) -> float | int:
+
+def _floored_number(text: str) -> int:
+    """A decimal or exponent literal, parsed exactly and floored."""
     try:
-        return int(text)
-    except ValueError:
-        return float(text)
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
+    # the bound keeps flooring cheap; every command refuses far smaller x
+    if not value.is_finite() or value.adjusted() > 100:
+        raise argparse.ArgumentTypeError(f"number out of range: {text!r}")
+    return math.floor(value)
 
 
-def _int_at_least(low: int):
+def _int_between(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -45,13 +55,14 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
+_nonnegative_int = _int_between(0)
 
 
 def _warn(text: str) -> None:
@@ -453,13 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="text")
 
     p_pi = sub.add_parser("pi", help="prime count with full breakdown")
-    p_pi.add_argument("x", type=_positive_number)
+    p_pi.add_argument("x", type=_floored_number)
     p_pi.add_argument(
         "--strategy", choices=[s.value for s in counting.Strategy],
         default="oracle",
     )
     add_format(p_pi)
-    p_pi.set_defaults(fn=_cmd_pi)
 
     p_count = sub.add_parser("count", help="composite-class count at a position")
     p_count.add_argument(
@@ -468,12 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pos = p_count.add_mutually_exclusive_group(required=True)
     pos.add_argument("--at-n", type=int, help="sequence index")
-    pos.add_argument("--at-x", type=_positive_number, help="value bound")
+    pos.add_argument("--at-x", type=_floored_number, help="value bound")
     p_count.add_argument(
         "--variant", choices=["exact", "classic", "both"], default="exact"
     )
     add_format(p_count)
-    p_count.set_defaults(fn=_cmd_count)
 
     p_gen = sub.add_parser("gen", help="generate the first N primes")
     p_gen.add_argument("n", type=int)
@@ -485,13 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="kept for compatibility; both guards give the same primes",
     )
     add_format(p_gen)
-    p_gen.set_defaults(fn=_cmd_gen)
 
     p_ts = sub.add_parser("tseries", help="wheel stream for a divisor set")
     p_ts.add_argument("divisors", help="comma-separated odd primes, e.g. 3,5")
     p_ts.add_argument("--limit", type=int, required=True)
     add_format(p_ts)
-    p_ts.set_defaults(fn=_cmd_tseries)
 
     p_verify = sub.add_parser(
         "verify", help="differential check of closed forms against the oracle"
@@ -503,22 +510,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--max-rows", type=_nonnegative_int, default=10)
     add_format(p_verify)
-    p_verify.set_defaults(fn=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="timing table (informational)")
-    p_bench.add_argument("--x-max", type=_positive_number, default=100_000)
-    p_bench.add_argument("--repeats", type=_positive_int, default=5)
+    p_bench.add_argument("--x-max", type=_floored_number, default=100_000)
+    p_bench.add_argument(
+        "--repeats", type=_int_between(1, MAX_BENCH_REPEATS), default=5
+    )
     add_format(p_bench)
-    p_bench.set_defaults(fn=_cmd_bench)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced handler takes effect
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except (ValueError, OverflowError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,10 +69,14 @@ def nth_root_floor(value, j: int):
     if j == 1:
         return value
     if isinstance(value, np.ndarray):
-        powers = np.arange(1, nth_root_floor(_largest(value), j) + 1) ** j
+        bases = np.arange(1, nth_root_floor(_largest(value), j) + 1)
+        # a base above 1 means 2**j fits in int64; [1] ** j is [1] for any j
+        powers = bases ** j if len(bases) > 1 else bases
         return np.searchsorted(powers, value, "right")
     if value < 2:
         return value
+    if value.bit_length() <= j:  # 2**j > value
+        return 1
     lo, hi = 1, 1 << (value.bit_length() // j + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2

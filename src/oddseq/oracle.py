@@ -273,7 +273,8 @@ def count_class(pattern: CompositePattern, n: int) -> int:
         j = pattern.param
         count = 0
         k = 3
-        while k**j <= u:
+        # 3**j > u once j reaches u's bit length: never build that power
+        while j < u.bit_length() and k**j <= u:
             count += 1
             k += 2
         return count
@@ -320,7 +321,7 @@ def count_class_upto(pattern: CompositePattern, n_max: int) -> np.ndarray:
     elif pattern.kind == "kpow":
         j = pattern.param
         k = 3
-        while k**j <= u_max:
+        while j < u_max.bit_length() and k**j <= u_max:
             hits.append((k**j - 3) // 2)
             k += 2
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .sequences import check_index, element_at
+from .sequences import U64_MAX, check_index, element_at
 
 CLASSIC_PRIMES = (5, 7, 11)
 
@@ -30,6 +30,10 @@ CLASSIC_PRIMES = (5, 7, 11)
 def _check_counter_prime(p: int) -> None:
     if p < 5 or p % 2 == 0:
         raise ValueError(f"counter needs an odd prime >= 5, got {p}")
+    # p*p, the first p-composite, must be an element; this also bounds
+    # the trial division below
+    if p * p > U64_MAX:
+        raise OverflowError(f"p*p exceeds 64-bit range for p = {p}")
     for d in range(3, math.isqrt(p) + 1, 2):
         if p % d == 0:
             raise ValueError(f"counter needs a prime, got {p} = {d}*{p // d}")

@@ -34,10 +34,15 @@ MAX_WHEEL_ELEMENTS = 1_000_000
 
 
 def check_index(n) -> None:
-    """Raise ValueError unless index n, or every entry of an array n, is >= 0."""
-    low = int(n.min(initial=0)) if isinstance(n, np.ndarray) else n
-    if low < 0:
-        raise ValueError(f"index must be >= 0, got {low}")
+    """Raise unless index n, or every entry of an array n, is in the domain.
+
+    The domain is the one of element_at: n >= 0 (ValueError), and for an
+    int, an element 3 + 2*n that fits in 64 bits (OverflowError).
+    """
+    if not isinstance(n, np.ndarray):
+        element_at(n)
+    elif n.min(initial=0) < 0:
+        raise ValueError(f"index must be >= 0, got {int(n.min())}")
 
 
 def element_at(n):

@@ -77,14 +77,16 @@ def test_w_formula_on_an_unordered_index_array():
 
 def test_nth_root_floor_on_arrays():
     values = np.concatenate([np.arange(0, 5000), [3**20 - 1, 3**20, 7**9]])
-    for j in (1, 2, 3, 5, 9):
+    for j in (1, 2, 3, 5, 9, 63, 64, 10**20):
         got = nth_root_floor(values, j)
         assert got.tolist() == [nth_root_floor(int(v), j) for v in values]
 
 
 def test_scalar_callers_keep_python_ints():
-    big = count_p_composites(5, 2**80)
-    q = (2**80 - 11) // 5
+    # the largest index whose element fits in 64 bits, beyond int64 products
+    n = (2**64 - 1 - 3) // 2
+    big = count_p_composites(5, n)
+    q = (n - 11) // 5
     assert type(big) is int and big == 1 + q - (q + 1) // 3
     assert type(count_three_composites(10)) is int
     assert type(count_kl(100)) is int
@@ -101,3 +103,17 @@ def test_arrays_reject_negative_indices():
             fn(bad)
     with pytest.raises(ValueError):
         assemble_w(bad, Strategy.FORMULA)
+
+
+# the first index whose element 3 + 2*n no longer fits in 64 bits
+PAST_U64 = (2**64 - 1 - 3) // 2 + 1
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_int_indices_share_element_at_domain(name):
+    fn = CLOSED_FORMS[name]
+    for n in (PAST_U64, 10**23):
+        with pytest.raises(OverflowError, match="exceeds 64-bit range"):
+            fn(n)
+    with pytest.raises(ValueError):
+        fn(-1)

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddseq import cli
 
@@ -359,3 +362,102 @@ def test_sieve_cache_in_a_missing_directory_warns(capsys, monkeypatch, tmp_path)
     code, out, err = run(capsys, "pi", "100")
     assert code == 0 and "pi = 25" in out
     assert err.startswith("warning:") and "Traceback" not in err
+
+
+def test_count_at_x_is_parsed_exactly(capsys):
+    # as a float, 9007199254740993.0 rounds to 2**53 and loses the last odd
+    _, as_int, _ = run(capsys, "count", "3", "--at-x", "9007199254740993")
+    assert as_int == "1501199875790165"
+    for text in ("9007199254740993.0", "9007199254740993.75", "9.007199254740993e15"):
+        code, out, _ = run(capsys, "count", "3", "--at-x", text)
+        assert code == 0 and out == as_int
+
+
+def test_pi_floors_decimal_and_exponent_text(capsys):
+    code, out, _ = run(capsys, "pi", "1e3", "--format", "json")
+    assert code == 0 and json.loads(out)["x"] == 1000
+    assert json.loads(out)["pi"] == 168
+    code, out, _ = run(capsys, "pi", "100.999")
+    assert code == 0 and "x = 100\n" in out and "pi = 25" in out
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999999999", "3/4", "x"])
+def test_pi_rejects_non_finite_and_malformed_numbers(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pi", "--", text])
+    assert exc.value.code == 2
+    assert "argument x:" in capsys.readouterr().err
+
+
+def test_count_at_n_past_the_index_domain_exits_two(capsys):
+    for cls in ("3", "p:5", "kl", "kpow:2"):
+        code, _, err = run(capsys, "count", cls, "--at-n", str(10**23))
+        assert code == 2 and "exceeds 64-bit range" in err
+
+
+def test_count_huge_class_parameters_exit_at_once(capsys):
+    code, out, _ = run(capsys, "count", "kpow:100000000000000000000", "--at-n", "5")
+    assert code == 0 and out == "0"
+    code, _, err = run(capsys, "count", "p:1000000000000000000000007", "--at-n", "5")
+    assert code == 2 and "p*p exceeds 64-bit range" in err
+
+
+def test_bench_rejects_more_than_a_hundred_repeats(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--repeats", str(10**30)])
+    assert exc.value.code == 2
+    assert "argument --repeats: must be <= 100" in capsys.readouterr().err
+
+
+def test_verify_huge_power_class_exits_at_once(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--max-n", "50", "--classes", "kpow:100000000000000000000"
+    )
+    assert code == 0 and "mismatches 0" in out
+
+
+def test_parser_is_built_once_and_handlers_dispatch_per_call(capsys, monkeypatch):
+    assert run(capsys, "gen", "3")[1] == "2 3 5"
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "_cmd_gen", lambda args: 7)
+    assert run(capsys, "gen", "3")[0] == 7
+    assert cli._parser() is parser
+
+
+# -- fuzz: the exit-code contract holds on any token -------------------------
+
+_NUMBERS = [
+    "-7", "-1", "0", "1", "2", "3", "17", "60", "999", "-1e3", "2.5", "1e2",
+    "0.5", "1e30", str(10**30), "1e999999999", "nan", "inf", "-inf", "", "x",
+]
+_CLASSES = [
+    "3", "p:5", "p:7", "p:4", "p:9", "p:", "p:x", "p:1000000000000000000000007",
+    "kl", "kkl", "kpow:0", "kpow:2", "kpow:-1", "kpow:100000000000000000000",
+    "xyz", "w", "",
+]
+_DIVISORS = ["3", "3,5", "3,5,7", "4", "-3", "1", "", "x", "3,,5",
+             "3,5,7,11,13,17,19,23", "1000000007"]
+_FLAGS = ["--format", "text", "json", "csv", "yaml", "--variant", "exact",
+          "classic", "both", "--include-two", "--no-include-two", "--guard",
+          "strict", "loose", "--strategy", "oracle", "formula", "--at-n",
+          "--at-x", "--limit", "--max-n", "--max-rows", "--classes",
+          "--repeats", "--x-max"]
+_COMMANDS = ["pi", "count", "gen", "tseries", "verify", "bench"]
+
+_token = st.one_of(
+    st.sampled_from(_NUMBERS), st.sampled_from(_CLASSES),
+    st.sampled_from(_DIVISORS), st.sampled_from(_FLAGS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_COMMANDS), st.lists(_token, max_size=6))
+def test_cli_fuzz_keeps_the_exit_code_contract(command, tokens):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, *tokens])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -189,6 +189,14 @@ def test_count_class_upto_matches_scalar():
             assert sweep[n] == count_class(pattern, n), (pattern, n)
 
 
+def test_power_enumerators_skip_powers_above_the_range():
+    # 3**5 = 243 is the last odd fifth power at index 120; a huge exponent
+    # counts nothing without building 3**j
+    assert count_class(kpow(5), 120) == 1 and count_class(kpow(5), 119) == 0
+    assert count_class(kpow(10**20), 10**6) == 0
+    assert not count_class_upto(kpow(10**20), 100).any()
+
+
 def test_pattern_parse_and_validation():
     assert CompositePattern.parse("kpow:3") == kpow(3)
     assert CompositePattern.parse("kl") == KL

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
-from oddseq import first_n_primes, initial_state, step_partition
+from oddseq import first_n_primes, initial_state, primegen, step_partition
 from oddseq.errors import ResourceLimitError
-from oddseq.oracle import SieveTable
+from oddseq.oracle import _SEGMENT_ODDS, SieveTable
 from oddseq.primegen import DEFAULT_MAX_COUNT
 
 
@@ -129,3 +131,107 @@ def test_appended_values_are_prime():
     for p in state.primes:
         assert p >= 3 and p % 2 == 1
         assert all(p % d for d in range(3, int(p**0.5) + 1, 2)), p
+
+
+# -- runs of partitions sieved as one segment --------------------------------
+
+
+def _record_runs(monkeypatch):
+    """Spy on primegen._run; each call appends (lo, hi, next b, primes)."""
+    runs = []
+    real = primegen._run
+
+    def spy(primes, moduli, a, b, partition, last, reach):
+        lo = 7 if partition == 1 else last + 2
+        out = real(primes, moduli, a, b, partition, last, reach)
+        runs.append((lo, out[0] ** 2 - 2, out[1], len(primes)))
+        return out
+
+    monkeypatch.setattr(primegen, "_run", spy)
+    return runs
+
+
+def test_step_partition_states_are_prefixes_of_first_n_primes():
+    state = initial_state()
+    for _ in range(150):
+        state = step_partition(state)
+        count = len(state.primes)
+        assert list(state.primes) == first_n_primes(count, include_two=False)
+
+
+def test_a_run_equals_its_partitions_one_by_one():
+    """_run over several partitions ends in the state single steps reach."""
+    state = initial_state()
+    for _ in range(8):
+        primes, moduli = list(state.primes), list(state.moduli)
+        a, b, index, partition, last = primegen._run(
+            primes, moduli, state.prime_a, state.prime_b,
+            state.partition, state.last_element, reach=10**6,
+        )
+        run_end = primegen.GeneratorState(
+            tuple(primes), tuple(moduli), a, b, index, partition, last
+        )
+        stepped = state
+        while stepped.partition < partition:
+            stepped = step_partition(stepped)
+        assert stepped == run_end
+        state = run_end
+    assert state.partition > 9  # some runs held more than one partition
+
+
+def test_runs_of_a_gen_sized_request(monkeypatch):
+    runs = _record_runs(monkeypatch)
+    first_n_primes(5477)
+    # 5477 primes need p_5477 = 53,453 < 58,950 (Rosser's bound); the
+    # second run ends at 47*47 - 2, the largest end whose anchor 47 was
+    # already discovered when the run began at 49
+    assert [(lo, hi) for lo, hi, _, _ in runs] == [
+        (7, 47), (49, 47 * 47 - 2), (2209, 251 * 251 - 2),
+    ]
+
+
+def test_runs_stay_within_one_sieve_segment(monkeypatch):
+    runs = _record_runs(monkeypatch)
+    first_n_primes(300_000)
+    capped = 0
+    for lo, hi, next_b, _ in runs:
+        assert (hi - lo) // 2 + 1 <= _SEGMENT_ODDS
+        capped += (next_b**2 - lo) // 2 > _SEGMENT_ODDS
+    assert capped >= 2
+
+
+def _run_edges(monkeypatch, count):
+    """Odd-prime counts at the first three run ends of first_n_primes(count),
+    and at the first run that the segment size stopped, if any."""
+    runs = _record_runs(monkeypatch)
+    first_n_primes(count)
+    monkeypatch.undo()
+    capped = [n for lo, _, b, n in runs if (b * b - lo) // 2 > _SEGMENT_ODDS]
+    return [n for _, _, _, n in runs[:3]] + capped[:1]
+
+
+def test_counts_at_run_edges(monkeypatch):
+    gen_sized = _run_edges(monkeypatch, 5477)
+    large = _run_edges(monkeypatch, 300_000)
+    assert len(gen_sized) == 3 and len(large) == 4
+    edges = sorted(set(gen_sized + large))
+    all_primes = [int(p) for p in SieveTable.build(4_300_000).primes()]
+    for edge in edges:
+        for count in (edge - 1, edge, edge + 1):
+            assert first_n_primes(count, include_two=False) == (
+                all_primes[1 : count + 1]
+            )
+            assert first_n_primes(count) == all_primes[:count]
+
+
+def test_prime_bound_holds_above_its_threshold():
+    primes = [int(p) for p in SieveTable.build(1_000_000).primes()]
+    for n in range(1, len(primes) + 1, 97):
+        assert primes[n - 1] < primegen._prime_bound(n)
+    assert primegen._prime_bound(5) > 11
+
+
+def test_step_partition_reports_the_overflow_partition():
+    state = dataclasses.replace(initial_state(), prime_a=2**21, prime_b=2**22)
+    with pytest.raises(OverflowError):
+        step_partition(state)
