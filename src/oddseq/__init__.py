@@ -30,13 +30,13 @@ from .oracle import (
     factorize_ascending,
     kpow,
     multi,
+    p_composite_values,
 )
 from .pcomposites import (
     ZCounter,
     count_p_composites,
     count_p_composites_classic,
     count_three_composites,
-    p_composite_values,
     threshold_index,
 )
 from .primegen import GeneratorState, first_n_primes, initial_state, step_partition

@@ -19,7 +19,6 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +94,30 @@ def _get_table(limit: int) -> oracle.SieveTable:
     return table
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _render(fmt: str, record: dict, header: list[str], rows, lines,
+            indent: int | None = 2) -> None:
+    """Print a command's output in one format: json, csv or text.
+
+    record is the JSON object, header and rows the csv table, lines the
+    text.  rows and lines may be generators: only the format asked for
+    is built.
+    """
+    if fmt == "json":
+        out = json.dumps(record, indent=indent)
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        out = buf.getvalue().rstrip("\n")
+    else:
+        out = "\n".join(lines)
+    print(out)
 
 
-def _emit(text: str) -> None:
-    print(text)
+def _spaced(values):
+    """One text line of values separated by spaces, joined when iterated."""
+    yield " ".join(map(str, values))
 
 
 # -- pi -------------------------------------------------------------------
@@ -115,28 +128,19 @@ def _cmd_pi(args) -> int:
     table = None
     if strategy is counting.Strategy.ORACLE and args.x >= 3:
         table = _get_table(int(args.x))
-    breakdown = counting.pi_of(args.x, strategy, table)
-    data = breakdown.to_dict()
-    if args.format == "json":
-        _emit(json.dumps(data, indent=2))
-    elif args.format == "csv":
-        header = ["x", "strategy", "n", "m_n", "w_n", "m", "pi"]
-        _emit(_render_csv(header, [[data[h] for h in header]]))
-    else:
-        lines = [
-            f"x = {data['x']}",
-            f"strategy = {data['strategy']}",
-            f"n = {data['n']}",
-            f"M_n = {data['m_n']}",
-            f"W_n = {data['w_n']}",
-            f"m = {data['m']}",
-            f"pi = {data['pi']}",
-        ]
+    data = counting.pi_of(args.x, strategy, table).to_dict()
+    header = ["x", "strategy", "n", "m_n", "w_n", "m", "pi"]
+    labels = ["x", "strategy", "n", "M_n", "W_n", "m", "pi"]
+
+    def lines():
+        for label, key in zip(labels, header):
+            yield f"{label} = {data[key]}"
         if data["class_counts"]:
-            lines.append("class counts:")
+            yield "class counts:"
             for name, value in data["class_counts"].items():
-                lines.append(f"  {name} = {value}")
-        _emit("\n".join(lines))
+                yield f"  {name} = {value}"
+
+    _render(args.format, data, header, [[data[h] for h in header]], lines())
     return 0
 
 
@@ -174,12 +178,10 @@ def _eval_class(token: str, variant: str, n):
 def _cmd_count(args) -> int:
     token = args.cls
     n = _position_index(args)
-    if args.variant == "classic" and token not in CLASSIC_CLASSES:
+    if args.variant != "exact" and token not in CLASSIC_CLASSES:
         raise ValueError(f"class {token!r} has no classic variant")
 
     if args.variant == "both":
-        if token not in CLASSIC_CLASSES:
-            raise ValueError(f"class {token!r} has no classic variant")
         exact = _eval_class(token, "exact", n)
         classic = _eval_class(token, "classic", n)
         data = {
@@ -189,30 +191,12 @@ def _cmd_count(args) -> int:
             "classic": classic,
             "delta": classic - exact,
         }
-        if args.format == "json":
-            _emit(json.dumps(data, indent=2))
-        elif args.format == "csv":
-            header = ["class", "n", "exact", "classic", "delta"]
-            _emit(_render_csv(header, [[data[h] for h in header]]))
-        else:
-            _emit(
-                f"exact = {exact}\nclassic = {classic}\ndelta = {classic - exact}"
-            )
-        return 0
-
-    value = _eval_class(token, args.variant, n)
-    if args.format == "json":
-        _emit(json.dumps(
-            {"class": token, "variant": args.variant, "n": n, "count": value},
-            indent=2,
-        ))
-    elif args.format == "csv":
-        _emit(_render_csv(
-            ["class", "variant", "n", "count"],
-            [[token, args.variant, n, value]],
-        ))
+        lines = (f"{key} = {data[key]}" for key in ("exact", "classic", "delta"))
     else:
-        _emit(str(value))
+        value = _eval_class(token, args.variant, n)
+        data = {"class": token, "variant": args.variant, "n": n, "count": value}
+        lines = _spaced([value])
+    _render(args.format, data, list(data), [list(data.values())], lines)
     return 0
 
 
@@ -223,15 +207,14 @@ def _cmd_gen(args) -> int:
     primes = primegen.first_n_primes(
         args.n, include_two=args.include_two, guard=args.guard
     )
-    if args.format == "json":
-        _emit(json.dumps(
-            {"count": args.n, "include_two": args.include_two, "primes": primes}
-        ))
-    elif args.format == "csv":
-        rows = [[i + 1, p] for i, p in enumerate(primes)]
-        _emit(_render_csv(["index", "prime"], rows))
-    else:
-        _emit(" ".join(str(p) for p in primes))
+    _render(
+        args.format,
+        {"count": args.n, "include_two": args.include_two, "primes": primes},
+        ["index", "prime"],
+        enumerate(primes, 1),
+        _spaced(primes),
+        indent=None,
+    )
     return 0
 
 
@@ -242,71 +225,28 @@ def _cmd_tseries(args) -> int:
     divisors = [int(tok) for tok in args.divisors.split(",") if tok]
     spec = sequences.build_wheel(divisors)
     elements = sequences.wheel_elements(spec, args.limit)
-    if args.format == "json":
-        _emit(json.dumps({
-            "divisors": list(spec.divisors),
-            "period": spec.period,
-            "offsets": list(spec.offsets),
-            "seeds": list(spec.seeds),
-            "limit": args.limit,
-            "elements": elements,
-        }))
-    elif args.format == "csv":
-        rows = [[i, u] for i, u in enumerate(elements)]
-        _emit(_render_csv(["index", "element"], rows))
-    else:
-        _emit(" ".join(str(u) for u in elements))
+    record = {
+        "divisors": list(spec.divisors),
+        "period": spec.period,
+        "offsets": list(spec.offsets),
+        "seeds": list(spec.seeds),
+        "limit": args.limit,
+        "elements": elements,
+    }
+    _render(args.format, record, ["index", "element"], enumerate(elements),
+            _spaced(elements), indent=None)
     return 0
 
 
 # -- verify ---------------------------------------------------------------
 
 
-@dataclass
-class ReportRow:
-    """One mismatch between a closed form and the oracle."""
-
-    quantity: str
-    formula: int
-    oracle: int
-    delta: int
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "formula": self.formula,
-            "oracle": self.oracle,
-            "delta": self.delta,
-            "n": self.n,
-        }
-
-
 def _oracle_sweep(token: str, n_max: int, table: oracle.SieveTable) -> np.ndarray:
     """Enumeration-based counts for every index 0..n_max."""
-    u_max = 3 + 2 * n_max
-    if token == "3":
-        hits = [(3 * m - 3) // 2 for m in range(3, u_max // 3 + 1, 2)]
-        counts = np.bincount(np.asarray(hits, dtype=np.int64), minlength=n_max + 1)
-        return np.cumsum(counts[: n_max + 1])
-    if token.startswith("p:"):
-        p = int(token[2:])
-        values = pcomposites.p_composite_values(p, n_max)
-        hits = [(v - 3) // 2 for v in values]
-        counts = np.bincount(
-            np.asarray(hits, dtype=np.int64), minlength=n_max + 1
-        ) if hits else np.zeros(n_max + 1, dtype=np.int64)
-        return np.cumsum(counts[: n_max + 1])
-    if token == "kl":
-        return oracle.count_class_upto(oracle.KL, n_max)
-    if token == "kkl":
-        return oracle.count_class_upto(oracle.KKL, n_max)
-    if token.startswith("kpow:"):
-        return oracle.count_class_upto(oracle.kpow(int(token[5:])), n_max)
     if token == "w":
         primes = np.unpackbits(table.packed, count=n_max + 1, bitorder="little")
         return np.cumsum(1 - primes, dtype=np.int64)
-    raise ValueError(f"unknown class {token!r}")
+    return oracle.count_class_upto(oracle.CompositePattern.parse(token), n_max)
 
 
 def _formula_sweep(token: str, variant: str, n_max: int) -> np.ndarray:
@@ -322,7 +262,7 @@ def _cmd_verify(args) -> int:
     n_max = args.max_n
     table = _get_table(3 + 2 * n_max)
     summaries = []
-    rows: list[ReportRow] = []
+    rows: list[dict] = []  # one per mismatch shown
     exact_failures = 0
 
     for token in tokens:
@@ -345,9 +285,13 @@ def _cmd_verify(args) -> int:
             if diff.size and not informational:
                 exact_failures += diff.size
             for n in diff[: args.max_rows]:
-                rows.append(ReportRow(
-                    label, int(got[n]), int(want[n]), int(got[n] - want[n]), int(n)
-                ))
+                rows.append({
+                    "quantity": label,
+                    "formula": int(got[n]),
+                    "oracle": int(want[n]),
+                    "delta": int(got[n] - want[n]),
+                    "n": int(n),
+                })
             summaries.append({
                 "class": label,
                 "checked": n_max + 1,
@@ -357,20 +301,8 @@ def _cmd_verify(args) -> int:
             })
 
     ok = exact_failures == 0
-    if args.format == "json":
-        _emit(json.dumps({
-            "max_n": n_max,
-            "ok": ok,
-            "summaries": summaries,
-            "rows": [r.to_dict() for r in rows],
-        }, indent=2))
-    elif args.format == "csv":
-        _emit(_render_csv(
-            ["quantity", "formula", "oracle", "delta", "n"],
-            [[r.quantity, r.formula, r.oracle, r.delta, r.n] for r in rows],
-        ))
-    else:
-        lines = []
+
+    def lines():
         for s in summaries:
             status = "ok" if s["mismatches"] == 0 else (
                 "WARN" if s["informational"] else "FAIL"
@@ -381,14 +313,21 @@ def _cmd_verify(args) -> int:
             )
             if s["first_mismatch"] is not None:
                 line += f"  first at n = {s['first_mismatch']}"
-            lines.append(line)
+            yield line
         for r in rows[: args.max_rows]:
-            lines.append(
-                f"  {r.quantity} n={r.n}: formula {r.formula} "
-                f"oracle {r.oracle} delta {r.delta}"
+            yield (
+                f"  {r['quantity']} n={r['n']}: formula {r['formula']} "
+                f"oracle {r['oracle']} delta {r['delta']}"
             )
-        lines.append("result: " + ("OK" if ok else "MISMATCH"))
-        _emit("\n".join(lines))
+        yield "result: " + ("OK" if ok else "MISMATCH")
+
+    _render(
+        args.format,
+        {"max_n": n_max, "ok": ok, "summaries": summaries, "rows": rows},
+        ["quantity", "formula", "oracle", "delta", "n"],
+        (list(r.values()) for r in rows),
+        lines(),
+    )
     return 0 if ok else 1
 
 
@@ -429,24 +368,21 @@ def _cmd_bench(args) -> int:
         {"name": name, "x": x_max, "median_ns": _median_ns(fn, repeats)}
         for name, fn in layers
     ]
-    if args.format == "json":
-        _emit(json.dumps({
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-            "rows": rows,
-        }, indent=2))
-    elif args.format == "csv":
-        _emit(_render_csv(
-            ["name", "x", "median_ns"],
-            [[r["name"], r["x"], r["median_ns"]] for r in rows],
-        ))
-    else:
-        lines = [f"{'name':14s} {'x':>10s} {'median_ns':>14s}"]
+
+    def lines():
+        yield f"{'name':14s} {'x':>10s} {'median_ns':>14s}"
         for r in rows:
-            lines.append(f"{r['name']:14s} {r['x']:>10d} {r['median_ns']:>14d}")
-        _emit("\n".join(lines))
+            yield f"{r['name']:14s} {r['x']:>10d} {r['median_ns']:>14d}"
+
+    record = {
+        "repeats": repeats,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "rows": rows,
+    }
+    _render(args.format, record, ["name", "x", "median_ns"],
+            (list(r.values()) for r in rows), lines())
     return 0
 
 

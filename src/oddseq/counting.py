@@ -32,13 +32,28 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import SieveTable, _odd_primes_upto
+from .errors import ResourceLimitError
+from .oracle import DEFAULT_MAX_LIMIT, SieveTable, _odd_primes_upto
 from .sequences import element_at, floor_element, index_of
+
+# the pair counters sum one Python term per odd k up to a root of u, at
+# about 0.4 us a term for an int u: this many take about 1 s
+MAX_K_TERMS = 2_500_000
 
 
 def _largest(v) -> int:
     """v itself for an int; the largest entry of an int array (0 if empty)."""
     return int(v.max(initial=0)) if isinstance(v, np.ndarray) else v
+
+
+def _odd_ks(top: int) -> range:
+    """The odd k in [3, top], refused above MAX_K_TERMS of them."""
+    ks = range(3, top + 1, 2)
+    if len(ks) > MAX_K_TERMS:
+        raise ResourceLimitError(
+            f"{len(ks)} terms in k exceed cap {MAX_K_TERMS}"
+        )
+    return ks
 
 
 class Strategy(str, Enum):
@@ -109,7 +124,7 @@ def count_kkl_classic(n):
     """
     u = element_at(n)
     total = 0 * u
-    for k in range(3, math.isqrt(_largest(u)) + 1, 2):
+    for k in _odd_ks(math.isqrt(_largest(u))):
         total += (u - k * k) // (2 * k * k) * (u >= k * k)
     return total
 
@@ -128,7 +143,7 @@ def count_kpow(j: int, n):
 def _count_power_pairs(j: int, u):
     """Pairs (k, l), odd l >= k >= 3, with k**j * l <= u."""
     total = 0 * u
-    for k in range(3, nth_root_floor(_largest(u), j + 1) + 1, 2):
+    for k in _odd_ks(nth_root_floor(_largest(u), j + 1)):
         kj = k**j
         first = kj * k
         total += ((u - first) // (2 * kj) + 1) * (u >= first)
@@ -196,6 +211,11 @@ def _w_formula_terms(n):
     """
     u = element_at(n)
     top = _largest(u)
+    if top > DEFAULT_MAX_LIMIT:
+        # the prime lists below grow with top / 9, so keep the sieve's cap
+        raise ResourceLimitError(
+            f"formula element {top} exceeds cap {DEFAULT_MAX_LIMIT}"
+        )
     yield "kl", count_kl(n), 1
 
     j = 2

@@ -8,7 +8,6 @@ per 512-odd block and popcount the rest of the block.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ResourceLimitError
+from .sequences import _is_odd_prime, element_at
 
 MAGIC = b"ODSQ"
 _HEADER = struct.Struct("<4sQ")  # magic, u64 limit
@@ -27,22 +27,13 @@ DEFAULT_MAX_LIMIT = 10**8
 _SEGMENT_ODDS = 2**20  # odds sieved at a time: a 1 MB bool buffer
 
 
-def _odd_primes_upto(limit: int) -> list[int]:
-    """The odd primes <= limit, ascending."""
-    if limit < 3:
-        return []
-    n = (limit - 1) // 2  # byte i stands for the odd 3 + 2*i
-    bits = bytearray(b"\x01") * n
-    for i in range((math.isqrt(limit) - 1) // 2):
-        if bits[i]:
-            p = 2 * i + 3
-            j = (p * p - 3) // 2
-            bits[j::p] = bytes(len(range(j, n, p)))
-    return list(itertools.compress(range(3, limit + 1, 2), bits))
+def _sieve_segment(segment: np.ndarray, lo: int, primes) -> np.ndarray:
+    """Sieve segment, the odds from 3 + 2*lo on, by primes; return it.
 
-
-def _sieve_segment(segment: np.ndarray, lo: int, primes: list[int]):
-    """Sieve segment, the odds from 3 + 2*lo on, by primes; return it packed."""
+    Each prime p clears its odd multiples from max(p*p, 3 + 2*lo) on.
+    This is the one strike loop: the table, the small primes and the
+    prime generator all sieve through it.
+    """
     segment.fill(True)
     m = len(segment)
     for p in primes:
@@ -53,7 +44,16 @@ def _sieve_segment(segment: np.ndarray, lo: int, primes: list[int]):
         elif i >= m:
             break
         segment[i::p].fill(False)  # far cheaper than `= False`
-    return np.packbits(segment, bitorder="little")
+    return segment
+
+
+def _odd_primes_upto(limit: int) -> list[int]:
+    """The odd primes <= limit, ascending."""
+    if limit < 3:
+        return []
+    primes = _odd_primes_upto(math.isqrt(limit))
+    segment = _sieve_segment(np.empty((limit - 1) // 2, bool), 0, primes)
+    return (3 + 2 * np.flatnonzero(segment)).tolist()
 
 
 class NotASieveFile(ValueError):
@@ -83,12 +83,11 @@ class SieveTable:
             )
         n_odds = (limit - 1) // 2 if limit >= 3 else 0
         primes = _odd_primes_upto(math.isqrt(limit))
-        if n_odds <= _SEGMENT_ODDS:
-            return cls(limit, _sieve_segment(np.empty(n_odds, bool), 0, primes))
         packed = np.empty((n_odds + 7) // 8, dtype=np.uint8)
-        buffer = np.empty(_SEGMENT_ODDS, dtype=bool)
+        buffer = np.empty(min(n_odds, _SEGMENT_ODDS), dtype=bool)
         for lo in range(0, n_odds, _SEGMENT_ODDS):
-            bits = _sieve_segment(buffer[: n_odds - lo], lo, primes)
+            segment = _sieve_segment(buffer[: n_odds - lo], lo, primes)
+            bits = np.packbits(segment, bitorder="little")
             # lo is a multiple of 8, so each segment starts on a byte
             packed[lo // 8 : lo // 8 + len(bits)] = bits
         return cls(limit, packed)
@@ -198,15 +197,19 @@ class SieveTable:
 
 @dataclass(frozen=True)
 class CompositePattern:
-    """Shape of a composite class: kl, kkl, kpow:<j>, or multi:<r>."""
+    """Shape of a composite class: 3, p:<q>, kl, kkl, kpow:<j>, or multi:<r>."""
 
     kind: str
     param: int | None = None
 
     def __post_init__(self):
-        if self.kind in ("kl", "kkl"):
+        if self.kind in ("3", "kl", "kkl"):
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
+        elif self.kind == "p":
+            q = self.param
+            if q is None or q < 5 or not _is_odd_prime(q):
+                raise ValueError(f"p needs an odd prime >= 5, got {q}")
         elif self.kind == "kpow":
             if self.param is None or self.param < 1:
                 raise ValueError("kpow needs an exponent >= 1")
@@ -241,59 +244,61 @@ def multi(r: int) -> CompositePattern:
     return CompositePattern("multi", r)
 
 
+def _class_hits(pattern: CompositePattern, u_max: int):
+    """Yield the index (value - 3) // 2 of every pattern instance <= u_max.
+
+    An index comes once for each tuple with that value.
+    """
+    kind = pattern.kind
+    if kind == "3":
+        yield from ((3 * m - 3) // 2 for m in range(3, u_max // 3 + 1, 2))
+    elif kind == "p":
+        q = pattern.param
+        yield from (
+            (q * m - 3) // 2 for m in range(q, u_max // q + 1, 2) if m % 3
+        )
+    elif kind in ("kl", "kkl"):
+        j = 1 if kind == "kl" else 2
+        k = 3
+        while k**j * k <= u_max:
+            # l = k, k + 2, ...: the value steps by 2 * k**j, its index by k**j
+            yield from range((k**j * k - 3) // 2, (u_max - 3) // 2 + 1, k**j)
+            k += 2
+    elif kind == "kpow":
+        j = pattern.param
+        k = 3
+        # 3**j > u once j reaches u's bit length: never build that power
+        while j < u_max.bit_length() and k**j <= u_max:
+            yield (k**j - 3) // 2
+            k += 2
+    else:
+        r = pattern.param
+        primes = _odd_primes_upto(u_max // max(3 ** (r - 1), 1) + 1)
+
+        def descend(start: int, remaining: int, product: int):
+            if remaining == 0:
+                yield (product - 3) // 2
+                return
+            for i in range(start, len(primes)):
+                p = primes[i]
+                if product * p**remaining > u_max:
+                    break
+                yield from descend(i + 1, remaining - 1, product * p)
+
+        yield from descend(0, r, 1)
+
+
 def count_class(pattern: CompositePattern, n: int) -> int:
     """Exhaustively count pattern instances with value <= 3 + 2*n.
 
-    Counts ordered tuples, matching each class definition: (k, l) with
-    odd 3 <= k <= l for kl and kkl, odd bases for kpow, ascending tuples
-    of distinct odd primes for multi.
+    Counts ordered tuples, matching each class definition: 3*m for odd
+    m >= 3; q*m for odd m >= q with 3 not dividing m; (k, l) with odd
+    3 <= k <= l for kl and kkl; odd bases for kpow; ascending tuples of
+    distinct odd primes for multi.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    u = 3 + 2 * n
-    if pattern.kind == "kl":
-        count = 0
-        for k in range(3, math.isqrt(u) + 1, 2):
-            l = k
-            while k * l <= u:
-                count += 1
-                l += 2
-        return count
-    if pattern.kind == "kkl":
-        count = 0
-        k = 3
-        while k * k * k <= u:
-            l = k
-            while k * k * l <= u:
-                count += 1
-                l += 2
-            k += 2
-        return count
-    if pattern.kind == "kpow":
-        j = pattern.param
-        count = 0
-        k = 3
-        # 3**j > u once j reaches u's bit length: never build that power
-        while j < u.bit_length() and k**j <= u:
-            count += 1
-            k += 2
-        return count
-    # multi: squarefree products of r distinct odd primes
-    r = pattern.param
-    primes = _odd_primes_upto(u // max(3 ** (r - 1), 1) + 1)
-
-    def descend(start: int, remaining: int, product: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for i in range(start, len(primes)):
-            p = primes[i]
-            if product * p**remaining > u:
-                break
-            total += descend(i + 1, remaining - 1, product * p)
-        return total
-
-    return descend(0, r, 1)
+    return sum(1 for _ in _class_hits(pattern, 3 + 2 * n))
 
 
 def count_class_upto(pattern: CompositePattern, n_max: int) -> np.ndarray:
@@ -302,50 +307,18 @@ def count_class_upto(pattern: CompositePattern, n_max: int) -> np.ndarray:
     Enumerates each tuple once, buckets it at the index where its value
     enters the sequence, and accumulates.  Built for differential sweeps.
     """
-    u_max = 3 + 2 * n_max
-    hits: list[int] = []
-    if pattern.kind == "kl":
-        for k in range(3, math.isqrt(u_max) + 1, 2):
-            l = k
-            while k * l <= u_max:
-                hits.append((k * l - 3) // 2)
-                l += 2
-    elif pattern.kind == "kkl":
-        k = 3
-        while k * k * k <= u_max:
-            l = k
-            while k * k * l <= u_max:
-                hits.append((k * k * l - 3) // 2)
-                l += 2
-            k += 2
-    elif pattern.kind == "kpow":
-        j = pattern.param
-        k = 3
-        while j < u_max.bit_length() and k**j <= u_max:
-            hits.append((k**j - 3) // 2)
-            k += 2
-    else:
-        r = pattern.param
-        primes = _odd_primes_upto(u_max // max(3 ** (r - 1), 1) + 1)
+    hits = np.fromiter(_class_hits(pattern, 3 + 2 * n_max), dtype=np.int64)
+    return np.cumsum(np.bincount(hits, minlength=n_max + 1))
 
-        def descend(start: int, remaining: int, product: int) -> None:
-            if remaining == 0:
-                hits.append((product - 3) // 2)
-                return
-            for i in range(start, len(primes)):
-                p = primes[i]
-                if product * p**remaining > u_max:
-                    break
-                descend(i + 1, remaining - 1, product * p)
 
-        descend(0, r, 1)
+def p_composite_values(p: int, n: int) -> list[int]:
+    """The p-composites with value <= 3 + 2*n, increasing.
 
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    if hits:
-        counts = np.bincount(
-            np.asarray(hits, dtype=np.int64), minlength=n_max + 1
-        ).astype(np.int64)
-    return np.cumsum(counts)
+    Enumerated directly from the definition (p times odd m >= p with
+    3 not dividing m); the closed-form counters are checked against it.
+    """
+    hits = _class_hits(CompositePattern("p", p), element_at(n))
+    return [3 + 2 * i for i in hits]
 
 
 @dataclass(frozen=True)

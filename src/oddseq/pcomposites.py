@@ -17,12 +17,12 @@ one body of plain arithmetic serves a single index and a whole range.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .sequences import U64_MAX, check_index, element_at
+from .oracle import factorize_ascending
+from .sequences import _is_odd_prime, check_index
 
 CLASSIC_PRIMES = (5, 7, 11)
 
@@ -30,13 +30,11 @@ CLASSIC_PRIMES = (5, 7, 11)
 def _check_counter_prime(p: int) -> None:
     if p < 5 or p % 2 == 0:
         raise ValueError(f"counter needs an odd prime >= 5, got {p}")
-    # p*p, the first p-composite, must be an element; this also bounds
-    # the trial division below
-    if p * p > U64_MAX:
-        raise OverflowError(f"p*p exceeds 64-bit range for p = {p}")
-    for d in range(3, math.isqrt(p) + 1, 2):
-        if p % d == 0:
-            raise ValueError(f"counter needs a prime, got {p} = {d}*{p // d}")
+    # p*p, the first p-composite, must be an element: _is_odd_prime
+    # refuses p beyond that before it divides
+    if not _is_odd_prime(p):
+        d = factorize_ascending(p).factors[0][0]
+        raise ValueError(f"counter needs a prime, got {p} = {d}*{p // d}")
 
 
 def threshold_index(p: int) -> int:
@@ -89,7 +87,7 @@ def _counter(p: int) -> ZCounter:
 def count_p_composites(p: int, n):
     """Exact count of p-composites with value <= 3 + 2*n.
 
-    Equals len(p_composite_values(p, n)) for every prime p >= 5.
+    Equals len(oracle.p_composite_values(p, n)) for every prime p >= 5.
     """
     check_index(n)
     return _counter(p).count(n)
@@ -111,20 +109,3 @@ def count_p_composites_classic(p: int, n):
         return (1 + q - (q + 2) // 3) * (n >= 23)
     q = (n - 59) // 11
     return (1 + q - (q + 1) // 3) * (n >= 59)
-
-
-def p_composite_values(p: int, n: int) -> list[int]:
-    """The p-composites with value <= 3 + 2*n, increasing.
-
-    Enumerated directly from the definition (p times odd m >= p with
-    3 not dividing m); the closed-form counters are checked against it.
-    """
-    _check_counter_prime(p)
-    u = element_at(n)
-    out = []
-    m = p
-    while p * m <= u:
-        if m % 3:
-            out.append(p * m)
-        m += 2
-    return out

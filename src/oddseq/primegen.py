@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .oracle import _SEGMENT_ODDS
+from .oracle import _SEGMENT_ODDS, _sieve_segment
 from .sequences import U64_MAX
 
 DEFAULT_MAX_COUNT = 1_000_000
@@ -117,18 +117,11 @@ def _run(
         if (c * c - lo) // 2 > _SEGMENT_ODDS or b * c * c > U64_MAX:
             break
         a, b, j = b, c, j + 1
-    hi = b * b - 2
-    # one segment over the odds lo..hi, sieved by the odd primes <= a:
-    # every odd composite below b*b has its least prime factor <= a
-    keep = np.ones((hi - lo) // 2 + 1, dtype=bool)
-    # slot s holds lo + 2*s, so the first odd multiple of m at or above
-    # lo sits at the least s >= 0 with 2*s = -lo (mod m); lo + m is even
-    sieving = primes[:j]
-    mods = np.asarray(sieving, dtype=np.int64)
-    starts = (-((lo + mods) // 2)) % mods
-    for s, m in zip(starts.tolist(), sieving):
-        keep[s::m].fill(False)
-    primes.extend((lo + 2 * np.flatnonzero(keep)).tolist())
+    # one segment over the odds lo..b*b - 2, sieved by the odd primes
+    # <= a: every odd composite below b*b has its least prime factor <= a
+    segment = np.empty((b * b - lo) // 2, dtype=bool)
+    _sieve_segment(segment, (lo - 3) // 2, primes[:j])
+    primes.extend((lo + 2 * np.flatnonzero(segment)).tolist())
 
     moduli.extend(primes[k : j + 1])
     index = ((b * b - 2) * a - 3) // 2

@@ -83,8 +83,11 @@ def count_elements(x: float | int) -> int:
 
 
 def _is_odd_prime(p: int) -> bool:
+    """Trial division, refused (OverflowError) when p*p leaves 64 bits."""
     if p < 3 or p % 2 == 0:
         return False
+    if p * p > U64_MAX:
+        raise OverflowError(f"p*p exceeds 64-bit range for p = {p}")
     for d in range(3, math.isqrt(p) + 1, 2):
         if p % d == 0:
             return False
@@ -121,16 +124,17 @@ def build_wheel(divisors) -> WheelSpec:
         raise ValueError("divisor set must not be empty")
     if len(set(divs)) != len(divs):
         raise ValueError(f"repeated divisor in {divs}")
-    for d in divs:
-        if not _is_odd_prime(d):
-            raise ValueError(f"divisor must be an odd prime, got {d}")
-
+    # the cap goes first: it bounds the primality tests below as well
     period = 2 * math.prod(divs)
     if period // 2 > MAX_WHEEL_RESIDUES:
         raise ResourceLimitError(
             f"wheel of {divs} has {period // 2} odd residues per period,"
             f" above the cap {MAX_WHEEL_RESIDUES}"
         )
+    for d in divs:
+        if not _is_odd_prime(d):
+            raise ValueError(f"divisor must be an odd prime, got {d}")
+
     offsets = tuple(
         r for r in range(1, period, 2) if all(r % d for d in divs)
     )

@@ -402,6 +402,24 @@ def test_count_huge_class_parameters_exit_at_once(capsys):
     assert code == 2 and "p*p exceeds 64-bit range" in err
 
 
+def test_tseries_huge_divisor_exits_at_once(capsys):
+    code, out, err = run(capsys, "tseries", "1000000000000000000000007",
+                         "--limit", "10")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_pair_counts_past_their_term_cap_exit_two(capsys):
+    for argv in (["kl"], ["kkl", "--variant", "classic"]):
+        code, out, err = run(capsys, "count", *argv, "--at-x", "9007199254740993")
+        assert code == 2 and out == "" and "exceed cap" in err
+
+
+def test_pi_formula_past_the_sieve_cap_exits_two(capsys):
+    code, out, err = run(capsys, "pi", "1e10", "--strategy", "formula")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds cap" in err
+
+
 def test_bench_rejects_more_than_a_hundred_repeats(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "--repeats", str(10**30)])
@@ -429,6 +447,7 @@ def test_parser_is_built_once_and_handlers_dispatch_per_call(capsys, monkeypatch
 _NUMBERS = [
     "-7", "-1", "0", "1", "2", "3", "17", "60", "999", "-1e3", "2.5", "1e2",
     "0.5", "1e30", str(10**30), "1e999999999", "nan", "inf", "-inf", "", "x",
+    "9007199254740993",
 ]
 _CLASSES = [
     "3", "p:5", "p:7", "p:4", "p:9", "p:", "p:x", "p:1000000000000000000000007",
@@ -436,7 +455,7 @@ _CLASSES = [
     "xyz", "w", "",
 ]
 _DIVISORS = ["3", "3,5", "3,5,7", "4", "-3", "1", "", "x", "3,,5",
-             "3,5,7,11,13,17,19,23", "1000000007"]
+             "3,5,7,11,13,17,19,23", "1000000007", "1000000000000000000000007"]
 _FLAGS = ["--format", "text", "json", "csv", "yaml", "--variant", "exact",
           "classic", "both", "--include-two", "--no-include-two", "--guard",
           "strict", "loose", "--strategy", "oracle", "formula", "--at-n",

@@ -1,16 +1,22 @@
 import dataclasses
 
+import numpy as np
 import pytest
+
+from oddseq import counting
 
 from oddseq import (
     PiBreakdown,
     Strategy,
     assemble_w,
+    ResourceLimitError,
+    count_class,
     count_class_upto,
     count_kl,
     count_kkl,
     count_kkl_classic,
     count_kpow,
+    index_of,
     nth_root_floor,
     pi_of,
     square_base_bound,
@@ -183,3 +189,26 @@ def test_class_multiplicity_at_least_distinct(table):
     kl = count_class_upto(KL, 400)
     for n in range(3, 401, 13):
         assert kl[n] >= assemble_w(n, Strategy.ORACLE, table)
+
+
+def test_formula_strategy_is_capped_at_the_sieve_limit():
+    assert pi_of(10**8, Strategy.FORMULA).n == index_of(10**8 - 1)
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        pi_of(10**8 + 1, Strategy.FORMULA)
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        assemble_w(np.array([0, index_of(10**8 + 1)]), Strategy.FORMULA)
+
+
+def test_pair_counters_cap_their_k_terms(monkeypatch):
+    # 10 odd k = 3..21: k*l and k*k*l reach up to 22**2, k*k*k up to 22**3
+    monkeypatch.setattr(counting, "MAX_K_TERMS", 10)
+    for counter, pattern, top in (
+        (count_kl, KL, 23**2), (count_kkl, KKL, 23**3),
+    ):
+        n = index_of(top - 2)
+        assert counter(n) == count_class(pattern, n)
+        with pytest.raises(ResourceLimitError):
+            counter(n + 1)
+    assert count_kkl_classic(index_of(23**2 - 2)) >= 0
+    with pytest.raises(ResourceLimitError):
+        count_kkl_classic(index_of(23**2))

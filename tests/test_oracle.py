@@ -1,3 +1,4 @@
+import ast
 import math
 import struct
 from pathlib import Path
@@ -183,7 +184,9 @@ def test_count_class_examples():
 
 
 def test_count_class_upto_matches_scalar():
-    for pattern in (KL, KKL, kpow(2), kpow(5), multi(2), multi(3)):
+    for pattern in (KL, KKL, kpow(2), kpow(5), multi(2), multi(3),
+                    CompositePattern("3"), CompositePattern("p", 5),
+                    CompositePattern("p", 13)):
         sweep = count_class_upto(pattern, 600)
         for n in range(0, 601, 23):
             assert sweep[n] == count_class(pattern, n), (pattern, n)
@@ -209,6 +212,44 @@ def test_pattern_parse_and_validation():
         CompositePattern("multi", 1)
     with pytest.raises(ValueError):
         CompositePattern("weird")
+
+
+def test_three_and_p_patterns():
+    assert CompositePattern.parse("3") == CompositePattern("3")
+    assert CompositePattern.parse("p:7") == CompositePattern("p", 7)
+    assert str(CompositePattern("p", 7)) == "p:7"
+    assert count_class(CompositePattern("3"), 6) == 2  # 9, 15
+    assert count_class(CompositePattern("p", 5), 41) == 5  # 25 35 55 65 85
+    for bad in (("3", 3), ("p", None), ("p", 3), ("p", 9), ("p", 4)):
+        with pytest.raises(ValueError):
+            CompositePattern(*bad)
+    with pytest.raises(OverflowError, match="p\\*p exceeds 64-bit range"):
+        CompositePattern("p", 10**21 + 7)
+
+
+def test_odd_primes_upto_matches_trial_division():
+    def is_odd_prime(u):
+        return u % 2 and all(u % d for d in range(3, math.isqrt(u) + 1, 2))
+
+    expected = [u for u in range(3, 3000) if is_odd_prime(u)]
+    for limit in range(-1, 3000):
+        got = oracle._odd_primes_upto(limit)
+        assert got == [u for u in expected if u <= limit]
+    assert len(oracle._odd_primes_upto(10**6)) == 78498 - 1
+
+
+def test_oracle_imports_no_closed_form_module():
+    """The oracle stays independent of the counters it checks."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    names = {part for name in imported for part in name.split(".")}
+    assert not names & {"counting", "pcomposites"}, imported
 
 
 def test_factorize_examples():

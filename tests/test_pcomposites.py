@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oddseq import (
+    CompositePattern,
     ZCounter,
     count_p_composites,
     count_p_composites_classic,
+    count_class_upto,
     count_three_composites,
     element_at,
     p_composite_values,
@@ -149,3 +152,14 @@ def test_five_composite_index_jumps_alternate():
     # value jumps +10, +20; index jumps +5, +10
     jumps = _index_jumps(5, 40)
     assert jumps == [5, 10] * (len(jumps) // 2) + [5] * (len(jumps) % 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97])
+def test_counters_match_the_oracle_patterns(p):
+    n = np.arange(3001, dtype=np.int64)
+    if p == 3:
+        want = count_class_upto(CompositePattern("3"), 3000)
+        assert (count_three_composites(n) == want).all()
+    else:
+        want = count_class_upto(CompositePattern("p", p), 3000)
+        assert (count_p_composites(p, n) == want).all()

@@ -13,7 +13,7 @@ from oddseq import (
     wheel_elements,
 )
 from oddseq.errors import ResourceLimitError
-from oddseq.sequences import MAX_WHEEL_ELEMENTS
+from oddseq.sequences import MAX_WHEEL_ELEMENTS, _is_odd_prime
 
 
 def test_element_at_values():
@@ -179,3 +179,17 @@ def test_wheel_elements_refuses_more_elements_than_the_cap():
     # refused before enumerating: this stream would not fit in memory
     with pytest.raises(ResourceLimitError):
         wheel_elements(build_wheel([3, 5]), 10**30)
+
+
+def test_build_wheel_refuses_a_huge_divisor_before_testing_it():
+    with pytest.raises(ResourceLimitError):
+        build_wheel([1000000000000000000000007])
+    with pytest.raises(ResourceLimitError):
+        build_wheel([3, 1000000000000000000000007])
+
+
+def test_primality_test_refuses_squares_past_64_bits():
+    assert _is_odd_prime(4294967291)  # the largest prime below 2**32
+    assert not _is_odd_prime(4294967293)
+    with pytest.raises(OverflowError, match="p\\*p exceeds 64-bit range"):
+        _is_odd_prime(2**32 + 15)
