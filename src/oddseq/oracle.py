@@ -73,13 +73,13 @@ class SieveTable:
         self._block_rank = None  # built by the first rank query
 
     @classmethod
-    def build(cls, limit: int, max_limit: int = DEFAULT_MAX_LIMIT) -> "SieveTable":
+    def build(cls, limit: int) -> "SieveTable":
         """Segmented sieve of Eratosthenes over the odds up to limit."""
         if limit < 2:
             raise ValueError(f"limit must be >= 2, got {limit}")
-        if limit > max_limit:
+        if limit > DEFAULT_MAX_LIMIT:
             raise ResourceLimitError(
-                f"sieve limit {limit} exceeds cap {max_limit}"
+                f"sieve limit {limit} exceeds cap {DEFAULT_MAX_LIMIT}"
             )
         n_odds = (limit - 1) // 2 if limit >= 3 else 0
         primes = _odd_primes_upto(math.isqrt(limit))

@@ -25,10 +25,9 @@ upper bound for the last prime it needs.
 The index cursor of the paper steps by a through the elements a*u of
 the odd sequence, so a partition ends on the index of a*(b*b - 2), the
 element whose quotient is the last odd below b*b.  b*b itself is never a
-candidate: b only enters the moduli at rollover.  The loop guards
-"strict" and "inclusive" of that walk differ only in how they step over
-b*b, so they enumerate the same candidates; `guard` is accepted and
-validated for compatibility but has no effect.
+candidate: b only enters the moduli at rollover.  The paper's two loop
+guards, strict and inclusive, differ only in how they step over b*b, so
+they enumerate the same candidates and need no option.
 """
 from __future__ import annotations
 
@@ -43,43 +42,52 @@ from .sequences import U64_MAX
 
 DEFAULT_MAX_COUNT = 1_000_000
 
-GUARDS = ("strict", "inclusive")
-
 
 @dataclass(frozen=True)
 class GeneratorState:
-    """Snapshot between partitions.
+    """Snapshot between partitions: the odd primes found, and k moduli.
 
-    primes is strictly increasing; moduli after k completed partitions
-    are the first k + 2 odd primes; prime_a < prime_b are the anchors
-    for the next partition.  The initial prime_b = 7 is a bootstrap: it
-    is discovered as the very first candidate (35 / 5).
+    primes is strictly increasing and the moduli are its prefix
+    primes[:k], the first m + 2 odd primes after m partitions; the rest
+    of the state follows from these two.  The initial prime_b = 7 is a
+    bootstrap: it is discovered as the very first candidate (35 / 5).
     """
 
     primes: tuple[int, ...]
-    moduli: tuple[int, ...]
-    prime_a: int
-    prime_b: int
-    index: int
-    partition: int
-    last_element: int
+    k: int
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return self.primes[: self.k]
+
+    @property
+    def prime_a(self) -> int:
+        return self.primes[self.k - 1]
+
+    @property
+    def prime_b(self) -> int:
+        return self.primes[self.k] if self.k < len(self.primes) else 7
+
+    @property
+    def partition(self) -> int:
+        return self.k - 1
+
+    @property
+    def last_element(self) -> int:
+        # before the first partition nothing is discovered past 1
+        return self.primes[-1] if self.k > 2 else 1
+
+    @property
+    def index(self) -> int:
+        """The index of a*(b*b - 2) for the last partition's anchors."""
+        if self.k == 2:
+            return (5 * 5 - 3) // 2  # the bootstrap: the index of 5*5
+        a, b = self.primes[self.k - 2 : self.k]
+        return ((b * b - 2) * a - 3) // 2
 
 
 def initial_state() -> GeneratorState:
-    return GeneratorState(
-        primes=(3, 5),
-        moduli=(3, 5),
-        prime_a=5,
-        prime_b=7,
-        index=(5 * 5 - 3) // 2,
-        partition=1,
-        last_element=1,
-    )
-
-
-def _check_guard(guard: str) -> None:
-    if guard not in GUARDS:
-        raise ValueError(f"guard must be one of {GUARDS}, got {guard!r}")
+    return GeneratorState(primes=(3, 5), k=2)
 
 
 def _prime_bound(n: int) -> int:
@@ -89,28 +97,22 @@ def _prime_bound(n: int) -> int:
     return math.ceil(n * (math.log(n) + math.log(math.log(n))))
 
 
-def _run(
-    primes: list[int],
-    moduli: list[int],
-    a: int,
-    b: int,
-    partition: int,
-    last_element: int,
-    reach: int,
-) -> tuple[int, int, int, int, int]:
-    """Run consecutive partitions as one segment; mutates primes and moduli.
+def _run(primes, k: int, reach: int) -> tuple[list[int], int]:
+    """Run consecutive partitions as one segment from the state (primes, k).
 
-    The run starts at the partition anchored by (a, b) and moves its end
-    anchors one prime at a time while the next end anchor is already
-    discovered (so every modulus lies below lo and none clears itself),
-    the segment stays within _SEGMENT_ODDS odds, the segment end is below
-    reach, and the anchors pass the 64-bit check.  reach = 0 runs exactly
-    one partition.  moduli must be the prefix primes[:len(moduli)].
+    The run starts at the partition anchored by primes[k - 1] and the
+    next prime, and moves its end anchors one prime at a time while the
+    next end anchor is already discovered (so every modulus lies below
+    lo and none clears itself), the segment stays within _SEGMENT_ODDS
+    odds, the segment end is below reach, and the anchors pass the
+    64-bit check.  reach = 0 runs exactly one partition.  Returns the
+    primes found, leaving primes as it is, and the new modulus count.
     """
+    a = primes[k - 1]
+    b = primes[k] if k < len(primes) else 7  # the bootstrap anchor
     if a * b * b > U64_MAX:
         raise OverflowError("partition endpoint exceeds 64-bit range")
-    lo = 7 if partition == 1 else last_element + 2
-    k = len(moduli)
+    lo = primes[-1] + 2
     j = k  # the end anchor b is primes[j] once discovered
     while j + 1 < len(primes) and b * b - 2 < reach:
         c = primes[j + 1]  # the next end anchor after b
@@ -121,38 +123,16 @@ def _run(
     # <= a: every odd composite below b*b has its least prime factor <= a
     segment = np.empty((b * b - lo) // 2, dtype=bool)
     _sieve_segment(segment, (lo - 3) // 2, primes[:j])
-    primes.extend((lo + 2 * np.flatnonzero(segment)).tolist())
-
-    moduli.extend(primes[k : j + 1])
-    index = ((b * b - 2) * a - 3) // 2
-    return b, primes[j + 1], index, partition + j - k + 1, primes[-1]
+    return (lo + 2 * np.flatnonzero(segment)).tolist(), j + 1
 
 
-def step_partition(state: GeneratorState, guard: str = "strict") -> GeneratorState:
+def step_partition(state: GeneratorState) -> GeneratorState:
     """Process one full partition and roll the anchors forward."""
-    _check_guard(guard)
-    primes = list(state.primes)
-    moduli = list(state.moduli)
-    a, b, index, partition, last = _run(
-        primes,
-        moduli,
-        state.prime_a,
-        state.prime_b,
-        state.partition,
-        state.last_element,
-        reach=0,
-    )
-    return GeneratorState(
-        tuple(primes), tuple(moduli), a, b, index, partition, last
-    )
+    found, k = _run(state.primes, state.k, reach=0)
+    return GeneratorState(state.primes + tuple(found), k)
 
 
-def first_n_primes(
-    count: int,
-    include_two: bool = True,
-    guard: str = "strict",
-    max_count: int = DEFAULT_MAX_COUNT,
-) -> list[int]:
+def first_n_primes(count: int, include_two: bool = True) -> list[int]:
     """The first `count` primes, starting at 2 (or 3 without include_two).
 
     Runs whole runs of partitions until enough primes accumulate, then
@@ -161,20 +141,17 @@ def first_n_primes(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if count > max_count:
-        raise ResourceLimitError(f"count {count} exceeds cap {max_count}")
-    _check_guard(guard)
+    if count > DEFAULT_MAX_COUNT:
+        raise ResourceLimitError(
+            f"count {count} exceeds cap {DEFAULT_MAX_COUNT}"
+        )
 
     needed = count - 1 if include_two else count
     reach = _prime_bound(needed + 1)  # the needed-th odd prime is p_(needed+1)
-    state = initial_state()
-    primes = list(state.primes)
-    moduli = list(state.moduli)
-    a, b = state.prime_a, state.prime_b
-    partition, last = state.partition, state.last_element
+    start = initial_state()
+    primes, k = list(start.primes), start.k
     while len(primes) < needed:
-        a, b, _, partition, last = _run(
-            primes, moduli, a, b, partition, last, reach
-        )
-    head = primes[:needed]
-    return [2] + head if include_two else head
+        found, k = _run(primes, k, reach)
+        primes.extend(found)
+    del primes[needed:]
+    return [2] + primes if include_two else primes

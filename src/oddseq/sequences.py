@@ -24,8 +24,6 @@ from .errors import ResourceLimitError
 
 U64_MAX = 2**64 - 1
 
-FIRST_ELEMENT = 3
-
 # build_wheel enumerates period // 2 odd residues; above this it refuses
 MAX_WHEEL_RESIDUES = 2**15
 # wheel_elements lists about limit * len(offsets) / period elements; above

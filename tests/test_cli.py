@@ -131,13 +131,6 @@ def test_gen_csv_1000(capsys):
     assert rows[-1] == ["1000", "7919"]
 
 
-def test_gen_inclusive_guard_matches(capsys):
-    code, strict, _ = run(capsys, "gen", "100")
-    code2, inclusive, _ = run(capsys, "gen", "100", "--guard", "inclusive")
-    assert code == code2 == 0
-    assert strict == inclusive
-
-
 def test_gen_over_cap_exits_two(capsys):
     code, _, err = run(capsys, "gen", "2000000")
     assert code == 2
@@ -295,6 +288,26 @@ def test_verify_rejects_negative_sizes(capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"argument {flag}: must be >= 0, got -1" in err
+
+
+def test_verify_refuses_max_n_above_its_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--classes", "3", "--max-n", "1000001"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "argument --max-n: must be <= 1000000, got 1000001" in err
+
+
+def test_verify_runs_a_cheap_class_at_the_cap(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--classes", "3", "--max-n", str(cli.MAX_VERIFY_N),
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert data["summaries"][0]["checked"] == cli.MAX_VERIFY_N + 1
 
 
 def test_verify_max_rows_zero_keeps_summaries(capsys):

@@ -90,13 +90,14 @@ def test_block_rank_path_agrees_with_dense():
         assert big.prime_count(x) == dense.prime_count(x), x
 
 
-def test_build_rejects_bad_limits():
+def test_build_rejects_bad_limits(monkeypatch):
     with pytest.raises(ValueError):
         SieveTable.build(1)
     with pytest.raises(ResourceLimitError):
         SieveTable.build(10**9)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_LIMIT", 100)
     with pytest.raises(ResourceLimitError):
-        SieveTable.build(101, max_limit=100)
+        SieveTable.build(101)
 
 
 def test_dump_load_round_trip(tmp_path, table):

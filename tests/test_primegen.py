@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from oddseq import first_n_primes, initial_state, primegen, step_partition
@@ -24,20 +22,6 @@ def test_thousandth_prime():
 def test_matches_oracle_prefix(table):
     want = [int(p) for p in table.primes()[:2000]]
     assert first_n_primes(2000) == want
-
-
-def test_guards_agree():
-    strict = first_n_primes(3000, guard="strict")
-    inclusive = first_n_primes(3000, guard="inclusive")
-    assert strict == inclusive
-
-
-def test_guards_give_the_same_state_per_partition():
-    state = initial_state()
-    for _ in range(50):
-        strict = step_partition(state, "strict")
-        assert step_partition(state, "inclusive") == strict
-        state = strict
 
 
 def test_matches_oracle_at_the_cap():
@@ -65,16 +49,15 @@ def test_counts_at_partition_boundaries(table):
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         first_n_primes(0)
-    with pytest.raises(ValueError):
-        first_n_primes(10, guard="loose")
     with pytest.raises(ResourceLimitError):
         first_n_primes(10**7)
 
 
-def test_resource_cap_is_configurable():
-    assert first_n_primes(50, max_count=50)[-1] == 229
+def test_resource_cap_is_configurable(monkeypatch):
+    monkeypatch.setattr(primegen, "DEFAULT_MAX_COUNT", 50)
+    assert first_n_primes(50)[-1] == 229
     with pytest.raises(ResourceLimitError):
-        first_n_primes(51, max_count=50)
+        first_n_primes(51)
 
 
 def test_first_partition():
@@ -85,6 +68,35 @@ def test_first_partition():
     assert state.prime_a == 7 and state.prime_b == 11
     assert state.partition == 2
     assert state.last_element == 47
+
+
+# the odd primes below 13*13, the last anchor square of the states below
+_ODD_PRIMES_TO_167 = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+    151, 157, 163, 167,
+)
+
+
+def test_derived_fields_of_the_first_states():
+    """All seven fields of initial_state() and the next three states,
+    recorded from the generator that stored each field."""
+    want = [
+        # (prime count, moduli, prime_a, prime_b, index, partition, last)
+        (2, (3, 5), 5, 7, 11, 1, 1),
+        (14, (3, 5, 7), 7, 11, 116, 2, 47),
+        (29, (3, 5, 7, 11), 11, 13, 415, 3, 113),
+        (38, (3, 5, 7, 11, 13), 13, 17, 917, 4, 167),
+    ]
+    state = initial_state()
+    for count, moduli, a, b, index, partition, last in want:
+        assert state.primes == _ODD_PRIMES_TO_167[:count]
+        assert state.moduli == moduli
+        assert (state.prime_a, state.prime_b) == (a, b)
+        assert state.index == index
+        assert state.partition == partition
+        assert state.last_element == last
+        state = step_partition(state)
 
 
 def test_step_partition_does_not_mutate_input():
@@ -141,11 +153,12 @@ def _record_runs(monkeypatch):
     runs = []
     real = primegen._run
 
-    def spy(primes, moduli, a, b, partition, last, reach):
-        lo = 7 if partition == 1 else last + 2
-        out = real(primes, moduli, a, b, partition, last, reach)
-        runs.append((lo, out[0] ** 2 - 2, out[1], len(primes)))
-        return out
+    def spy(primes, k, reach):
+        lo = primes[-1] + 2
+        found, k_end = real(primes, k, reach)
+        b, next_b = (*primes, *found)[k_end - 1 : k_end + 1]
+        runs.append((lo, b**2 - 2, next_b, len(primes) + len(found)))
+        return found, k_end
 
     monkeypatch.setattr(primegen, "_run", spy)
     return runs
@@ -163,16 +176,10 @@ def test_a_run_equals_its_partitions_one_by_one():
     """_run over several partitions ends in the state single steps reach."""
     state = initial_state()
     for _ in range(8):
-        primes, moduli = list(state.primes), list(state.moduli)
-        a, b, index, partition, last = primegen._run(
-            primes, moduli, state.prime_a, state.prime_b,
-            state.partition, state.last_element, reach=10**6,
-        )
-        run_end = primegen.GeneratorState(
-            tuple(primes), tuple(moduli), a, b, index, partition, last
-        )
+        found, k = primegen._run(state.primes, state.k, reach=10**6)
+        run_end = primegen.GeneratorState(state.primes + tuple(found), k)
         stepped = state
-        while stepped.partition < partition:
+        while stepped.partition < run_end.partition:
             stepped = step_partition(stepped)
         assert stepped == run_end
         state = run_end
@@ -232,6 +239,8 @@ def test_prime_bound_holds_above_its_threshold():
 
 
 def test_step_partition_reports_the_overflow_partition():
-    state = dataclasses.replace(initial_state(), prime_a=2**21, prime_b=2**22)
+    # anchors a = 2**21 - 9 and b = 2**22 - 3, both prime: a*b*b > 2**64
+    state = primegen.GeneratorState((3, 5, 2**21 - 9, 2**22 - 3), 3)
+    assert (state.prime_a, state.prime_b) == (2**21 - 9, 2**22 - 3)
     with pytest.raises(OverflowError):
         step_partition(state)
