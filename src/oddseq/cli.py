@@ -32,7 +32,7 @@ DEFAULT_VERIFY_CLASSES = "3,p:5,p:7,p:11,kl,kkl,kpow:2,kpow:3,w"
 CLASSIC_CLASSES = {"p:5", "p:7", "p:11", "kkl"}
 
 MAX_BENCH_REPEATS = 100
-# verify's default classes at this N take 8-14 s and 110 MB (2-core Xeon)
+# verify's default classes at this N take about 3.5 s and 93 MB (2-core Xeon)
 MAX_VERIFY_N = 10**6
 
 
@@ -246,58 +246,80 @@ def _oracle_sweep(token: str, n_max: int, table: oracle.SieveTable) -> np.ndarra
     return oracle.count_class_upto(oracle.CompositePattern.parse(token), n_max)
 
 
-def _formula_sweep(token: str, variant: str, n_max: int) -> np.ndarray:
-    """Closed-form counts for every index 0..n_max, in one array pass."""
+def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
+            table: oracle.SieveTable | None = None):
+    """Check each class over every index 0..n_max; print nothing.
+
+    Returns the per-class summaries and the mismatch rows, at most
+    max_rows per class, both in the order of tokens.  Only `w` reads the
+    sieve: it is fetched for `w` unless a table covering 3 + 2*n_max is
+    passed in.
+    """
     n = np.arange(n_max + 1, dtype=np.int64)
-    if token == "w":
-        return counting.assemble_w(n, counting.Strategy.FORMULA)
-    return _eval_class(token, variant, n)
+
+    def check(token: str, form: str, got: np.ndarray):
+        want = _oracle_sweep(token, n_max, table)
+        diff = np.flatnonzero(got != want)
+        label = f"{token}[{'formula' if token == 'w' else form}]"
+        found = [
+            {
+                "quantity": label,
+                "formula": int(got[i]),
+                "oracle": int(want[i]),
+                "delta": int(got[i] - want[i]),
+                "n": int(i),
+            }
+            for i in diff[:max_rows]
+        ]
+        summary = {
+            "class": label,
+            "checked": n_max + 1,
+            "mismatches": int(diff.size),
+            "first_mismatch": int(diff[0]) if diff.size else None,
+            "informational": form == "classic" or token == "w",
+        }
+        return summary, found
+
+    # w sums its terms once; a term that is also a requested class (kl,
+    # kkl, kpow:3) is checked as it comes, so no term array is kept
+    checked = {}
+    if "w" in tokens and variant != "classic":
+        if table is None:
+            table = _get_table(3 + 2 * n_max)
+        w = np.zeros_like(n)
+        for name, count, weight in counting._w_formula_terms(n):
+            w += weight * count
+            if name in tokens:
+                checked[name, "exact"] = check(name, "exact", count)
+        checked["w", "exact"] = check("w", "exact", w)
+
+    summaries, rows = [], []
+    for token in tokens:
+        if variant == "both" and token in CLASSIC_CLASSES:
+            forms = ["exact", "classic"]
+        elif variant == "classic":
+            if token not in CLASSIC_CLASSES:
+                continue
+            forms = ["classic"]
+        else:
+            forms = ["exact"]
+        for form in forms:
+            if token == "w" and form == "classic":
+                continue
+            if (token, form) in checked:
+                summary, found = checked[token, form]
+            else:
+                summary, found = check(token, form, _eval_class(token, form, n))
+            summaries.append(summary)
+            rows += found
+    return summaries, rows
 
 
 def _cmd_verify(args) -> int:
     tokens = [tok.strip() for tok in args.classes.split(",") if tok.strip()]
     n_max = args.max_n
-    table = _get_table(3 + 2 * n_max)
-    summaries = []
-    rows: list[dict] = []  # one per mismatch shown
-    exact_failures = 0
-
-    for token in tokens:
-        if args.variant == "both" and token in CLASSIC_CLASSES:
-            variants = ["exact", "classic"]
-        elif args.variant == "classic":
-            if token not in CLASSIC_CLASSES:
-                continue
-            variants = ["classic"]
-        else:
-            variants = ["exact"]
-        for variant in variants:
-            if token == "w" and variant == "classic":
-                continue
-            label = f"{token}[{'formula' if token == 'w' else variant}]"
-            got = _formula_sweep(token, variant, n_max)
-            want = _oracle_sweep(token, n_max, table)
-            diff = np.flatnonzero(got != want)
-            informational = variant == "classic" or token == "w"
-            if diff.size and not informational:
-                exact_failures += diff.size
-            for n in diff[: args.max_rows]:
-                rows.append({
-                    "quantity": label,
-                    "formula": int(got[n]),
-                    "oracle": int(want[n]),
-                    "delta": int(got[n] - want[n]),
-                    "n": int(n),
-                })
-            summaries.append({
-                "class": label,
-                "checked": n_max + 1,
-                "mismatches": int(diff.size),
-                "first_mismatch": int(diff[0]) if diff.size else None,
-                "informational": informational,
-            })
-
-    ok = exact_failures == 0
+    summaries, rows = _verify(tokens, args.variant, n_max, args.max_rows)
+    ok = not any(s["mismatches"] and not s["informational"] for s in summaries)
 
     def lines():
         for s in summaries:
@@ -346,6 +368,9 @@ def _cmd_bench(args) -> int:
     table = _get_table(x_max)
     n_primes = table.prime_count(x_max)
     gen_count = min(n_primes, 20_000)
+    # verify's default classes up to the index of x_max, which the table covers
+    verify_n = min(max((x_max - 3) // 2, 0), 3000)
+    verify_tokens = DEFAULT_VERIFY_CLASSES.split(",")
 
     def first_query():
         # the first query on a fresh table builds its rank table
@@ -357,6 +382,8 @@ def _cmd_bench(args) -> int:
         ("pi(formula)",
          lambda: counting.pi_of(x_max, counting.Strategy.FORMULA)),
         (f"gen({gen_count})", lambda: primegen.first_n_primes(gen_count)),
+        (f"verify({verify_n})",
+         lambda: _verify(verify_tokens, "exact", verify_n, 10, table)),
         ("sieve build", lambda: oracle.SieveTable.build(max(x_max, 3))),
         ("rank build", first_query),
         ("rank query", lambda: table.prime_count(x_max)),

@@ -19,9 +19,9 @@ double count.
 
 The counters and the formula route of assemble_w take an int index or
 an int64 index array.  Their sums run over every term that fits the
-largest element, and each term is multiplied by (u >= its first value),
-so it is zero wherever it does not apply yet.  Totals start at 0 * u,
-which keeps an array shape when no term applies at all.
+largest element, and each term applies from its first value on: an int
+sums the terms as exact Python ints, and an array adds each term to the
+tail of the sorted elements that its first value reaches (_tail_sum).
 """
 from __future__ import annotations
 
@@ -54,6 +54,37 @@ def _odd_ks(top: int) -> range:
             f"{len(ks)} terms in k exceed cap {MAX_K_TERMS}"
         )
     return ks
+
+
+def _tail_sum(u, terms, plus: int):
+    """Sum of (u - first) // step + plus over the (first, step) terms
+    whose first value u has reached.
+
+    An int u sums exact Python ints, so it holds above 2**63.  An array
+    u is sorted if it is not ascending already, one searchsorted finds
+    where each term starts, and each term is added to that tail alone.
+    """
+    if not isinstance(u, np.ndarray):
+        return sum((u - first) // step + plus for first, step in terms
+                   if u >= first)
+    flat = u.ravel()
+    order = None
+    if (flat[1:] < flat[:-1]).any():
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+    terms = list(terms)
+    starts = np.searchsorted(flat, [first for first, _ in terms]).tolist()
+    total = np.zeros_like(flat)
+    buffer = np.empty_like(flat)
+    for (first, step), start in zip(terms, starts):
+        tail = buffer[start:]
+        # (u - first) // step + plus, with plus folded into the offset
+        np.subtract(flat[start:], first - plus * step, out=tail)
+        tail //= step
+        total[start:] += tail
+    if order is not None:
+        total[order] = total.copy()
+    return total.reshape(u.shape)
 
 
 class Strategy(str, Enum):
@@ -123,10 +154,8 @@ def count_kkl_classic(n):
     enters at index 36.  `verify` reports the divergence.
     """
     u = element_at(n)
-    total = 0 * u
-    for k in _odd_ks(math.isqrt(_largest(u))):
-        total += (u - k * k) // (2 * k * k) * (u >= k * k)
-    return total
+    ks = _odd_ks(math.isqrt(_largest(u)))
+    return _tail_sum(u, ((k * k, 2 * k * k) for k in ks), 0)
 
 
 def count_kpow(j: int, n):
@@ -142,40 +171,50 @@ def count_kpow(j: int, n):
 
 def _count_power_pairs(j: int, u):
     """Pairs (k, l), odd l >= k >= 3, with k**j * l <= u."""
-    total = 0 * u
-    for k in _odd_ks(nth_root_floor(_largest(u), j + 1)):
-        kj = k**j
-        first = kj * k
-        total += ((u - first) // (2 * kj) + 1) * (u >= first)
-    return total
+    ks = _odd_ks(nth_root_floor(_largest(u), j + 1))
+    # l = k, k + 2, ...: the first product is k**(j+1), then every 2 * k**j
+    return _tail_sum(u, ((k ** (j + 1), 2 * k**j) for k in ks), 1)
 
 
-def _count_two_prime_cofactor(u):
-    """Triples (k1, k2, l): odd primes k1 < k2, odd l >= k2, product <= u."""
+def _primes_upto(primes: list[int], limit: int) -> list[int]:
+    """The prefix of an ascending prime list that is <= limit."""
+    return primes[: bisect.bisect_right(primes, limit)]
+
+
+def _count_two_prime_cofactor(u, primes: list[int]):
+    """Triples (k1, k2, l): odd primes k1 < k2, odd l >= k2, product <= u.
+
+    primes is an ascending list of the odd primes up to at least
+    isqrt(max(u) // 3) + 1.
+    """
     top = _largest(u)
-    total = 0 * u
-    primes = _odd_primes_upto(math.isqrt(top // 3) + 1)
-    for i, k1 in enumerate(primes):
-        if k1 * (k1 + 2) ** 2 > top:
-            break
-        for k2 in primes[i + 1 :]:
-            first = k1 * k2 * k2
-            if first > top:
+    primes = _primes_upto(primes, math.isqrt(top // 3) + 1)
+
+    def terms():
+        for i, k1 in enumerate(primes):
+            if k1 * (k1 + 2) ** 2 > top:
                 break
-            total += ((u // (k1 * k2) - k2) // 2 + 1) * (u >= first)
-    return total
+            for k2 in primes[i + 1 :]:
+                first = k1 * k2 * k2
+                if first > top:
+                    break
+                # l = k2, k2 + 2, ...: the product steps by 2 * k1 * k2
+                yield first, 2 * k1 * k2
+
+    return _tail_sum(u, terms(), 1)
 
 
-def _count_distinct_prime_products(r: int, u):
+def _count_distinct_prime_products(r: int, u, primes: list[int]):
     """Squarefree products of r distinct odd primes <= u.
 
     Walks the ascending prefixes of r - 1 primes that fit the largest u;
     the last prime of each product then ranges over a slice of the prime
     list.  An int u counts the slices; an array u reads its counts off
-    the sorted products.
+    the sorted products.  primes is an ascending list of the odd primes
+    up to at least max(u) // 3**(r - 1) + 1.
     """
     top = _largest(u)
-    primes = _odd_primes_upto(top // max(3 ** (r - 1), 1) + 1)
+    primes = _primes_upto(primes, top // max(3 ** (r - 1), 1) + 1)
     slices: list[tuple[int, int, int]] = []
 
     def descend(start: int, remaining: int, product: int) -> None:
@@ -216,6 +255,12 @@ def _w_formula_terms(n):
         raise ResourceLimitError(
             f"formula element {top} exceeds cap {DEFAULT_MAX_LIMIT}"
         )
+    # one sieve for every prime list below: multi:3 needs the longest
+    # (to top / 9), two_prime_l one to sqrt(top / 3), and the first r
+    # primes that bound the multi:r loop are among those up to 64
+    primes = _odd_primes_upto(
+        max(top // 9 + 1, math.isqrt(top // 3) + 1, 64)
+    )
     yield "kl", count_kl(n), 1
 
     j = 2
@@ -227,17 +272,16 @@ def _w_formula_terms(n):
         yield f"kpow:{j + 1}", count_kpow(j + 1, n), 1
         j += 1
 
-    yield "two_prime_l", _count_two_prime_cofactor(u), -1
+    yield "two_prime_l", _count_two_prime_cofactor(u, primes), -1
 
     r = 3
-    small_primes = _odd_primes_upto(64)
     min_r_product = 3 * 5 * 7
+    # under the cap the product of the first 9 odd primes already exceeds
+    # top, so primes[r - 1] never runs past the primes up to 64
     while min_r_product <= top:
-        yield f"multi:{r}", _count_distinct_prime_products(r, u), 1 - r
+        yield f"multi:{r}", _count_distinct_prime_products(r, u, primes), 1 - r
         r += 1
-        if r - 1 >= len(small_primes):
-            break
-        min_r_product *= small_primes[r - 1]
+        min_r_product *= primes[r - 1]
 
 
 def assemble_w(

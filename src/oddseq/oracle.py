@@ -244,48 +244,64 @@ def multi(r: int) -> CompositePattern:
     return CompositePattern("multi", r)
 
 
-def _class_hits(pattern: CompositePattern, u_max: int):
-    """Yield the index (value - 3) // 2 of every pattern instance <= u_max.
+def _class_hits(pattern: CompositePattern, u_max: int) -> np.ndarray:
+    """The index (value - 3) // 2 of every pattern instance <= u_max.
 
-    An index comes once for each tuple with that value.
+    An index comes once for each tuple with that value, as int64 runs
+    built by np.arange.  Refuses u_max above DEFAULT_MAX_LIMIT, where
+    the runs would take gigabytes.
     """
+    if u_max > DEFAULT_MAX_LIMIT:
+        raise ResourceLimitError(
+            f"enumeration bound {u_max} exceeds cap {DEFAULT_MAX_LIMIT}"
+        )
     kind = pattern.kind
     if kind == "3":
-        yield from ((3 * m - 3) // 2 for m in range(3, u_max // 3 + 1, 2))
-    elif kind == "p":
+        m = np.arange(3, u_max // 3 + 1, 2)
+        return (3 * m - 3) // 2
+    if kind == "p":
         q = pattern.param
-        yield from (
-            (q * m - 3) // 2 for m in range(q, u_max // q + 1, 2) if m % 3
-        )
-    elif kind in ("kl", "kkl"):
+        m = np.arange(q, u_max // q + 1, 2)
+        return (q * m[m % 3 != 0] - 3) // 2
+    if kind in ("kl", "kkl"):
         j = 1 if kind == "kl" else 2
+        runs = []
         k = 3
         while k**j * k <= u_max:
             # l = k, k + 2, ...: the value steps by 2 * k**j, its index by k**j
-            yield from range((k**j * k - 3) // 2, (u_max - 3) // 2 + 1, k**j)
+            runs.append(range((k**j * k - 3) // 2, (u_max - 3) // 2 + 1, k**j))
             k += 2
-    elif kind == "kpow":
+        # one arange per k, concatenated in place: no second copy of the runs
+        hits = np.empty(sum(map(len, runs)), np.int64)
+        end = 0
+        for run in runs:
+            hits[end : end + len(run)] = np.arange(run.start, run.stop, run.step)
+            end += len(run)
+        return hits
+    hits = []
+    if kind == "kpow":
         j = pattern.param
         k = 3
         # 3**j > u once j reaches u's bit length: never build that power
         while j < u_max.bit_length() and k**j <= u_max:
-            yield (k**j - 3) // 2
+            hits.append((k**j - 3) // 2)
             k += 2
     else:
         r = pattern.param
         primes = _odd_primes_upto(u_max // max(3 ** (r - 1), 1) + 1)
 
-        def descend(start: int, remaining: int, product: int):
+        def descend(start: int, remaining: int, product: int) -> None:
             if remaining == 0:
-                yield (product - 3) // 2
+                hits.append((product - 3) // 2)
                 return
             for i in range(start, len(primes)):
                 p = primes[i]
                 if product * p**remaining > u_max:
                     break
-                yield from descend(i + 1, remaining - 1, product * p)
+                descend(i + 1, remaining - 1, product * p)
 
-        yield from descend(0, r, 1)
+        descend(0, r, 1)
+    return np.array(hits, dtype=np.int64)
 
 
 def count_class(pattern: CompositePattern, n: int) -> int:
@@ -298,7 +314,7 @@ def count_class(pattern: CompositePattern, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return sum(1 for _ in _class_hits(pattern, 3 + 2 * n))
+    return len(_class_hits(pattern, 3 + 2 * n))
 
 
 def count_class_upto(pattern: CompositePattern, n_max: int) -> np.ndarray:
@@ -307,8 +323,9 @@ def count_class_upto(pattern: CompositePattern, n_max: int) -> np.ndarray:
     Enumerates each tuple once, buckets it at the index where its value
     enters the sequence, and accumulates.  Built for differential sweeps.
     """
-    hits = np.fromiter(_class_hits(pattern, 3 + 2 * n_max), dtype=np.int64)
-    return np.cumsum(np.bincount(hits, minlength=n_max + 1))
+    counts = np.bincount(_class_hits(pattern, 3 + 2 * n_max),
+                         minlength=n_max + 1)
+    return np.cumsum(counts, out=counts)
 
 
 def p_composite_values(p: int, n: int) -> list[int]:
@@ -318,7 +335,7 @@ def p_composite_values(p: int, n: int) -> list[int]:
     3 not dividing m); the closed-form counters are checked against it.
     """
     hits = _class_hits(CompositePattern("p", p), element_at(n))
-    return [3 + 2 * i for i in hits]
+    return (3 + 2 * hits).tolist()
 
 
 @dataclass(frozen=True)

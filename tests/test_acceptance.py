@@ -215,8 +215,8 @@ def test_criterion_8_bench_is_informational(capsys):
     out = capsys.readouterr().out
     rows = json.loads(out)["rows"]
     names = [r["name"] for r in rows]
-    ok = code == 0 and len(rows) == 6
-    ok = ok and names[3:] == ["sieve build", "rank build", "rank query"]
+    ok = code == 0 and len(rows) == 7
+    ok = ok and names[4:] == ["sieve build", "rank build", "rank query"]
     with capsys.disabled():
         _report(8, ok, "complexity claim out of scope; bench runs")
     assert ok

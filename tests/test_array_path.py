@@ -15,6 +15,7 @@ from oddseq import (
     nth_root_floor,
     pi_of,
 )
+from oddseq.errors import ResourceLimitError
 
 N_MAX = 3000
 
@@ -117,3 +118,43 @@ def test_int_indices_share_element_at_domain(name):
             fn(n)
     with pytest.raises(ValueError):
         fn(-1)
+
+
+TAIL_SUM_FORMS = {
+    "kl": count_kl,
+    "kkl": count_kkl,
+    "kkl[classic]": count_kkl_classic,
+    "w[formula]": lambda n: assemble_w(n, Strategy.FORMULA),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_SUM_FORMS))
+@pytest.mark.parametrize("indices", [
+    [2999, 0, 51, 1154, 36, 3, 12],  # unordered
+    [51, 51, 4, 4, 4, 2999, 51, 0, 0],  # duplicated, unordered
+    [7, 7, 7],  # duplicated, ascending
+    [1154],  # one element
+    [],  # empty
+])
+def test_tail_sums_on_odd_index_arrays(name, indices):
+    fn = TAIL_SUM_FORMS[name]
+    got = fn(np.array(indices, dtype=np.int64))
+    assert isinstance(got, np.ndarray) and got.shape == (len(indices),)
+    assert got.tolist() == [fn(n) for n in indices]
+
+
+def test_tail_sums_keep_a_two_dimensional_shape():
+    n = np.array([[900, 0, 51], [4000, 52, 3]], dtype=np.int64)
+    got = count_kl(n)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[count_kl(int(i)) for i in row] for row in n]
+
+
+def test_pair_counts_above_two_to_the_63():
+    # element 2**63 + 1, past int64: the int path sums exact Python ints;
+    # the literal was recorded before the counters shared _tail_sum
+    n = 2**62 - 1
+    assert count_kkl(n) == 1077751910294845400
+    # count_kl would need about 1.5e9 odd k there and is refused
+    with pytest.raises(ResourceLimitError, match="exceed cap"):
+        count_kl(n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddseq import cli
+from oddseq import cli, counting
 
 
 def run(capsys, *argv):
@@ -223,6 +223,55 @@ def test_verify_exit_one_on_exact_mismatch(capsys, monkeypatch):
     assert "FAIL" in out and "result: MISMATCH" in out
 
 
+def _verify_json(capsys, classes, n_max="2000"):
+    code, out, _ = run(
+        capsys, "verify", "--classes", classes, "--max-n", n_max,
+        "--format", "json",
+    )
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_verify_reuses_w_terms_with_the_same_reports(capsys, monkeypatch, skew):
+    if skew:
+        # a kl formula off by one from n = 700 on, read by kl and by w alike
+        real = counting.count_kl
+        monkeypatch.setattr(counting, "count_kl", lambda n: real(n) + (n >= 700))
+    code, alone = _verify_json(capsys, "kl,kkl,kpow:3")
+    code_w, with_w = _verify_json(capsys, "kl,w,kkl,kpow:3")
+    assert code == code_w == (1 if skew else 0)
+    labels = ["kl[exact]", "kkl[exact]", "kpow:3[exact]"]
+    assert [s["class"] for s in with_w["summaries"]] == [
+        "kl[exact]", "w[formula]", "kkl[exact]", "kpow:3[exact]"
+    ]
+    assert [s for s in with_w["summaries"] if s["class"] in labels] == (
+        alone["summaries"]
+    )
+    assert [r for r in with_w["rows"] if r["quantity"] in labels] == (
+        alone["rows"]
+    )
+    assert alone["summaries"][0]["mismatches"] == (1301 if skew else 0)
+
+
+def test_verify_reports_a_repeated_class_each_time(capsys):
+    code, data = _verify_json(capsys, "w,kl,w,kl", "300")
+    assert code == 0
+    first, second = data["summaries"][:2], data["summaries"][2:]
+    assert [s["class"] for s in first] == ["w[formula]", "kl[exact]"]
+    assert first == second
+    assert data["rows"][:10] == data["rows"][10:]
+
+
+def test_verify_without_w_reads_no_sieve(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "sieve.odsq"
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+    code, out, err = run(capsys, "verify", "--classes", "3,kl", "--max-n", "100")
+    assert code == 0 and "result: OK" in out and err == ""
+    assert not path.exists()
+    code, out, _ = run(capsys, "verify", "--classes", "w", "--max-n", "100")
+    assert code == 0 and path.exists()
+
+
 def test_verify_csv_rows(capsys):
     code, out, _ = run(
         capsys, "verify", "--classes", "p:5", "--variant", "classic",
@@ -244,7 +293,8 @@ def test_bench_single_repeat(capsys):
     names = [r["name"] for r in data["rows"]]
     assert names[0] == "pi(oracle)" and names[1] == "pi(formula)"
     assert names[2].startswith("gen(")
-    assert names[3:] == ["sieve build", "rank build", "rank query"]
+    assert names[3] == "verify(48)"  # the index of 99, the largest odd <= 100
+    assert names[4:] == ["sieve build", "rank build", "rank query"]
     assert all(r["median_ns"] > 0 for r in data["rows"])
     assert {"python", "numpy", "machine"} <= set(data)
 

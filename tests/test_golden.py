@@ -982,8 +982,8 @@ def test_cli_output_is_unchanged(argv, code, stdout):
     assert _run(argv) == (code, stdout)
 
 
-_BENCH_NAMES = ["pi(oracle)", "pi(formula)", "gen(168)", "sieve build",
-                "rank build", "rank query"]
+_BENCH_NAMES = ["pi(oracle)", "pi(formula)", "gen(168)", "verify(498)",
+                "sieve build", "rank build", "rank query"]
 
 
 def test_bench_text_shape():
@@ -1005,7 +1005,7 @@ def test_bench_json_shape():
     data = json.loads(out)
     assert list(data) == ["repeats", "python", "numpy", "machine", "rows"]
     assert data["repeats"] == 1
-    assert [list(r) for r in data["rows"]] == [["name", "x", "median_ns"]] * 6
+    assert [list(r) for r in data["rows"]] == [["name", "x", "median_ns"]] * 7
     assert [(r["name"], r["x"]) for r in data["rows"]] == [
         (name, 1000) for name in _BENCH_NAMES
     ]

@@ -361,3 +361,66 @@ def test_loaded_table_answers_as_built(multi_segment, tmp_path):
     rng = np.random.default_rng(3)
     indices = sorted(int(i) for i in rng.integers(0, len(rank), size=2000))
     check_ranks(loaded, rank, indices + [0, len(rank) - 1])
+
+
+def _tuples_by_divisors(pattern, v, divisors, is_prime):
+    """Tuples of the pattern with value v, counted by loops over divisors."""
+    kind, q = pattern.kind, pattern.param
+    if kind == "3":
+        return sum(1 for m in divisors[v] if 3 * m == v and m >= 3)
+    if kind == "p":
+        return sum(1 for m in divisors[v] if q * m == v and m >= q and m % 3)
+    if kind == "kl":
+        return sum(1 for k in divisors[v] for l in divisors[v]
+                   if k * l == v and 3 <= k <= l)
+    if kind == "kkl":
+        return sum(1 for k in divisors[v] for l in divisors[v]
+                   if k * k * l == v and 3 <= k <= l)
+    if kind == "kpow":
+        return sum(1 for k in divisors[v] if k >= 3 and k**q == v)
+
+    def ascending(rest, r, low):
+        # ascending tuples of r distinct odd primes above low, product rest
+        if r == 0:
+            return rest == 1
+        return sum(ascending(rest // p, r - 1, p) for p in divisors[rest]
+                   if p > low and is_prime(p))
+
+    return ascending(v, q, 2)
+
+
+def test_class_hits_match_tuples_counted_by_divisors():
+    u_max = 3001
+    divisors = {v: [d for d in range(3, v + 1, 2) if v % d == 0]
+                for v in range(1, u_max + 1, 2)}
+
+    def is_prime(p):
+        return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+    for pattern in (CompositePattern("3"), CompositePattern("p", 5),
+                    CompositePattern("p", 13), KL, KKL, kpow(2), kpow(5),
+                    multi(2), multi(3)):
+        hits = oracle._class_hits(pattern, u_max)
+        assert hits.dtype == np.int64
+        got = np.bincount(hits, minlength=(u_max - 1) // 2)
+        want = [_tuples_by_divisors(pattern, v, divisors, is_prime)
+                for v in range(3, u_max + 1, 2)]
+        assert got.tolist() == want, pattern
+
+
+def test_enumerators_refuse_values_above_the_cap(monkeypatch):
+    cap = oracle.DEFAULT_MAX_LIMIT
+    # at the cap itself: index (cap - 3) // 2 holds the largest odd <= cap
+    at, past = (cap - 3) // 2, (cap - 3) // 2 + 1
+    assert count_class(kpow(2), at) == (math.isqrt(cap) - 1) // 2
+    assert oracle.p_composite_values(9973, at)[-1] <= cap
+    for call in (lambda: count_class(kpow(2), past),
+                 lambda: count_class_upto(KL, past),
+                 lambda: oracle.p_composite_values(9973, past)):
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            call()
+    # count_class_upto on both sides of a lowered cap
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_LIMIT", 1001)
+    assert count_class_upto(KL, 499)[-1] == count_class(KL, 499)
+    with pytest.raises(ResourceLimitError, match="exceeds cap 1001"):
+        count_class_upto(KL, 500)
