@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import FrozenInstanceError
 from enum import Enum
 
 import numpy as np
@@ -306,27 +307,46 @@ def assemble_w(
     return table.odd_composite_count(u)
 
 
-@dataclass(frozen=True, slots=True)
-class PiBreakdown:
+class PiBreakdown(namedtuple(
+        "PiBreakdown", "x strategy n m_n w_n m_corr pi class_counts")):
     """pi(x) with the quantities it was assembled from.
 
     Satisfies pi = m_n - w_n + m_corr; m_corr is always 1, standing for
     the prime 2 which the odd sequence omits.  n is None below 3, where
     the sequence is empty and pi counts only the prime 2.
+
+    An immutable record backed by a tuple, so that making one costs one
+    tuple rather than a setattr per field.  Every way of making one (the
+    constructor, _make, _replace, pickle and copy) checks the balance,
+    and assigning or deleting an attribute raises FrozenInstanceError.
+    class_counts defaults to a fresh empty dict.  dataclasses.replace
+    and asdict do not apply; to_dict() gives a plain dict.
     """
 
-    x: float | int
-    strategy: str
-    n: int | None
-    m_n: int
-    w_n: int
-    m_corr: int
-    pi: int
-    class_counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pi != self.m_n - self.w_n + self.m_corr:
+    def __new__(cls, x, strategy, n, m_n, w_n, m_corr, pi, class_counts=None):
+        if pi != m_n - w_n + m_corr:
             raise ValueError("breakdown arithmetic does not balance")
+        if class_counts is None:
+            class_counts = {}
+        return tuple.__new__(
+            cls, (x, strategy, n, m_n, w_n, m_corr, pi, class_counts)
+        )
+
+    # namedtuple's own _make and _replace call tuple.__new__ directly
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -355,18 +375,17 @@ def pi_of(
         raise ValueError(f"pi is defined for x >= 2, got {x}")
     if type(strategy) is not Strategy:
         strategy = Strategy(strategy)
+    name = strategy._value_  # the plain str; .value is a slower property
     if x < 3:
-        return PiBreakdown(x, strategy.value, None, 0, 0, 1, 1)
+        return PiBreakdown(x, name, None, 0, 0, 1, 1)
 
     n = index_of(floor_element(x))
     m_n = n + 1
     if strategy is Strategy.ORACLE:
         w_n = assemble_w(n, strategy, table)
-        counts: dict[str, int] = {}
+        counts = None
     else:
         terms = list(_w_formula_terms(n))
-        counts = {name: count for name, count, _ in terms}
+        counts = {term: count for term, count, _ in terms}
         w_n = sum(weight * count for _, count, weight in terms)
-    return PiBreakdown(
-        x, strategy.value, n, m_n, w_n, 1, m_n - w_n + 1, counts
-    )
+    return PiBreakdown(x, name, n, m_n, w_n, 1, m_n - w_n + 1, counts)

@@ -136,11 +136,9 @@ class SieveTable:
 
     def odd_composite_count(self, u: int) -> int:
         """Number of composite odd numbers in [3, u]."""
-        if u < 3 or u > self.limit:
+        if not 3 <= u <= self.limit:
             raise ValueError(f"{u} outside sieve range [3, {self.limit}]")
-        if u % 2 == 0:
-            u -= 1
-        i = (u - 3) // 2
+        i = (u - 3) // 2  # an even u has the index of u - 1
         return (i + 1) - self._odd_prime_rank(i)
 
     def primes(self, upto: int | None = None) -> np.ndarray:
@@ -244,33 +242,46 @@ def multi(r: int) -> CompositePattern:
     return CompositePattern("multi", r)
 
 
-def _class_hits(pattern: CompositePattern, u_max: int) -> np.ndarray:
-    """The index (value - 3) // 2 of every pattern instance <= u_max.
-
-    An index comes once for each tuple with that value, as int64 runs
-    built by np.arange.  Refuses u_max above DEFAULT_MAX_LIMIT, where
-    the runs would take gigabytes.
-    """
+def _bounded(u_max: int) -> int:
+    """u_max, refused above DEFAULT_MAX_LIMIT: the hits would take gigabytes."""
     if u_max > DEFAULT_MAX_LIMIT:
         raise ResourceLimitError(
             f"enumeration bound {u_max} exceeds cap {DEFAULT_MAX_LIMIT}"
         )
+    return u_max
+
+
+def _runs(kind: str, u_max: int) -> list[range]:
+    """The index runs of 3, kl or kkl instances <= u_max: one per k.
+
+    Pattern 3 is the k = 3 run of kl, 3*m for odd m >= 3.
+    """
+    j = 2 if kind == "kkl" else 1
+    stop = (u_max - 3) // 2 + 1
+    runs = []
+    k = 3
+    while k**j * k <= u_max:
+        # l = k, k + 2, ...: the value steps by 2 * k**j, its index by k**j
+        runs.append(range((k**j * k - 3) // 2, stop, k**j))
+        if kind == "3":
+            break
+        k += 2
+    return runs
+
+
+_RUN_KINDS = ("3", "kl", "kkl")
+
+
+def _class_hits(pattern: CompositePattern, u_max: int) -> np.ndarray:
+    """The index (value - 3) // 2 of every pattern instance <= u_max.
+
+    An index comes once for each tuple with that value, as int64 runs
+    built by np.arange.  Refuses u_max above DEFAULT_MAX_LIMIT.
+    """
+    _bounded(u_max)
     kind = pattern.kind
-    if kind == "3":
-        m = np.arange(3, u_max // 3 + 1, 2)
-        return (3 * m - 3) // 2
-    if kind == "p":
-        q = pattern.param
-        m = np.arange(q, u_max // q + 1, 2)
-        return (q * m[m % 3 != 0] - 3) // 2
-    if kind in ("kl", "kkl"):
-        j = 1 if kind == "kl" else 2
-        runs = []
-        k = 3
-        while k**j * k <= u_max:
-            # l = k, k + 2, ...: the value steps by 2 * k**j, its index by k**j
-            runs.append(range((k**j * k - 3) // 2, (u_max - 3) // 2 + 1, k**j))
-            k += 2
+    if kind in _RUN_KINDS:
+        runs = _runs(kind, u_max)
         # one arange per k, concatenated in place: no second copy of the runs
         hits = np.empty(sum(map(len, runs)), np.int64)
         end = 0
@@ -278,6 +289,10 @@ def _class_hits(pattern: CompositePattern, u_max: int) -> np.ndarray:
             hits[end : end + len(run)] = np.arange(run.start, run.stop, run.step)
             end += len(run)
         return hits
+    if kind == "p":
+        q = pattern.param
+        m = np.arange(q, u_max // q + 1, 2)
+        return (q * m[m % 3 != 0] - 3) // 2
     hits = []
     if kind == "kpow":
         j = pattern.param
@@ -314,6 +329,9 @@ def count_class(pattern: CompositePattern, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
+    if pattern.kind in _RUN_KINDS:
+        # the runs' lengths, without the hits
+        return sum(map(len, _runs(pattern.kind, _bounded(3 + 2 * n))))
     return len(_class_hits(pattern, 3 + 2 * n))
 
 

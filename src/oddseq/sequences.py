@@ -51,11 +51,12 @@ def element_at(n):
     if isinstance(n, np.ndarray):
         check_index(n)
         return 3 + 2 * n
-    # the int path stays inline: pi_of goes through it on every query
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    # the int path stays inline, with one range test: pi_of goes
+    # through it on every query
     u = 3 + 2 * n
-    if u > U64_MAX:
+    if not 3 <= u <= U64_MAX:
+        if n < 0:
+            raise ValueError(f"index must be >= 0, got {n}")
         raise OverflowError(f"element at index {n} exceeds 64-bit range")
     return u
 

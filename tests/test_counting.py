@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from oddseq import (
     pi_of,
     square_base_bound,
 )
-from oddseq.oracle import KKL, KL, kpow
+from oddseq.oracle import KKL, KL, SieveTable, kpow
 
 
 def test_square_base_bound_values():
@@ -146,9 +148,19 @@ def test_pi_breakdown_identity(table):
         assert b.m_corr == 1
 
 
-def test_pi_breakdown_rejects_unbalanced():
+def test_pi_breakdown_rejects_unbalanced(table):
     with pytest.raises(ValueError):
         PiBreakdown(10, "oracle", 3, 4, 1, 1, 7)
+    b = pi_of(100, Strategy.ORACLE, table)
+    unbalanced = (100, "oracle", 48, 49, 25, 1, 26, {})
+    forged = tuple.__new__(PiBreakdown, unbalanced)
+    for make in (lambda: b._replace(pi=26),
+                 lambda: PiBreakdown._make(unbalanced),
+                 lambda: pickle.loads(pickle.dumps(forged)),
+                 lambda: copy.copy(forged)):
+        with pytest.raises(ValueError, match="does not balance"):
+            make()
+    assert b._replace(x=100.5) == pi_of(100.5, Strategy.ORACLE, table)
 
 
 def test_pi_breakdown_is_frozen(table):
@@ -157,7 +169,83 @@ def test_pi_breakdown_is_frozen(table):
         b.pi = 26
     with pytest.raises(dataclasses.FrozenInstanceError):
         b.w_n = 0
-    assert b.pi == 25
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del b.pi
+    assert b.pi == 25 and b.w_n == 25
+
+
+# (x, n, m_n, w_n, pi) of pi_of(x, ORACLE, table) on the 2e6 table,
+# recorded from the dataclass breakdown
+PI_OF_PINS = [
+    (2, None, 0, 0, 1),
+    (2.5, None, 0, 0, 1),
+    (3, 0, 1, 0, 2),
+    (3.9, 0, 1, 0, 2),
+    (np.int64(999), 498, 499, 332, 168),
+    (1000.5, 498, 499, 332, 168),
+    (2_000_000, 999_998, 999_999, 851_067, 148_933),
+    (2_000_001, 999_999, 1_000_000, 851_068, 148_933),
+]
+
+
+def test_pi_of_pinned_breakdowns(table, monkeypatch):
+    builds = []
+    build = SieveTable.build
+    monkeypatch.setattr(SieveTable, "build", classmethod(
+        lambda cls, limit: builds.append(limit) or build(limit)))
+    assert table.limit == 2_000_000
+    for x, n, m_n, w_n, pi in PI_OF_PINS:
+        b = pi_of(x, Strategy.ORACLE, table)
+        assert tuple(b.to_dict().values()) == (x, "oracle", n, m_n, w_n, 1, pi, {})
+        assert type(b.strategy) is str and b.class_counts == {}
+    # only x above the table's limit builds a new table
+    assert builds == [2_000_001]
+
+
+def test_pi_of_rejects_bad_x(table):
+    for x, error in ((True, ValueError), (float("nan"), ValueError),
+                     (float("inf"), OverflowError)):
+        with pytest.raises(error):
+            pi_of(x, Strategy.ORACLE, table)
+
+
+def test_pi_breakdown_repr(table):
+    assert repr(pi_of(1000.5, Strategy.ORACLE, table)) == (
+        "PiBreakdown(x=1000.5, strategy='oracle', n=498, m_n=499, w_n=332,"
+        " m_corr=1, pi=168, class_counts={})")
+    assert repr(pi_of(2, "oracle", table)) == (
+        "PiBreakdown(x=2, strategy='oracle', n=None, m_n=0, w_n=0,"
+        " m_corr=1, pi=1, class_counts={})")
+    assert repr(pi_of(100, Strategy.FORMULA)) == (
+        "PiBreakdown(x=100, strategy='formula', n=48, m_n=49, w_n=25,"
+        " m_corr=1, pi=25, class_counts={'kl': 30, 'kkl': 5, 'kpow:3': 1,"
+        " 'kjl:3': 1, 'kpow:4': 1, 'two_prime_l': 1})")
+
+
+def test_pi_breakdown_round_trips(table):
+    for b in (pi_of(1000.5, Strategy.ORACLE, table), pi_of(100, "formula")):
+        for copied in (pickle.loads(pickle.dumps(b)), copy.copy(b),
+                       copy.deepcopy(b)):
+            assert type(copied) is PiBreakdown
+            assert copied == b and repr(copied) == repr(b)
+        assert copy.deepcopy(b).class_counts is not b.class_counts
+    assert pi_of(10, Strategy.ORACLE, table) != pi_of(11, Strategy.ORACLE, table)
+
+
+def test_pi_breakdown_class_counts_are_not_shared():
+    a = PiBreakdown(10, "oracle", 3, 4, 1, 1, 4)
+    b = PiBreakdown(10, "oracle", 3, 4, 1, 1, 4)
+    assert a == b and a.class_counts == {}
+    assert a.class_counts is not b.class_counts
+    a.to_dict()["class_counts"]["kl"] = 1
+    assert a.class_counts == {}
+    counts = {"kl": 2}
+    c = PiBreakdown(10, "formula", 3, 4, 1, 1, 4, counts)
+    assert c.class_counts is counts
+    assert c.to_dict()["class_counts"] == counts
+    assert c.to_dict()["class_counts"] is not counts
 
 
 def test_strategy_given_as_a_string(table):

@@ -1,12 +1,13 @@
 import ast
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oddseq import oracle
+from oddseq import Strategy, oracle, pi_of
 from oddseq.errors import ResourceLimitError
 from oddseq.oracle import (
     KKL,
@@ -193,6 +194,29 @@ def test_count_class_upto_matches_scalar():
             assert sweep[n] == count_class(pattern, n), (pattern, n)
 
 
+ALL_KINDS = (CompositePattern("3"), CompositePattern("p", 5),
+             CompositePattern("p", 13), KL, KKL, kpow(2), kpow(5),
+             multi(2), multi(3))
+
+
+def test_count_class_counts_the_hits():
+    for pattern in ALL_KINDS:
+        for n in (0, 3, 12, 36, 51, 1000, 99_999):
+            hits = oracle._class_hits(pattern, 3 + 2 * n)
+            assert count_class(pattern, n) == len(hits), (pattern, n)
+
+
+def test_count_class_holds_no_hit_array():
+    tracemalloc.start()
+    try:
+        # recorded from the enumerator that held every hit (166 MB peak)
+        assert count_class(KL, 5_000_000) == 17_074_331
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_power_enumerators_skip_powers_above_the_range():
     # 3**5 = 243 is the last odd fifth power at index 120; a huge exponent
     # counts nothing without building 3**j
@@ -324,13 +348,15 @@ def multi_segment():
 
 
 def check_ranks(table, rank, indices):
-    """Compare both rank queries at odd indices with a cumulative count."""
+    """Compare both rank queries and pi_of at odd indices with a cumulative count."""
     for i in indices:
         u = 3 + 2 * i
         assert table.prime_count(u) == 1 + rank[i], u
         assert table.odd_composite_count(u) == i + 1 - rank[i], u
+        assert pi_of(u, Strategy.ORACLE, table).pi == 1 + rank[i], u
         if u < table.limit:
             assert table.prime_count(u + 1) == 1 + rank[i], u + 1
+            assert pi_of(u + 1, Strategy.ORACLE, table).pi == 1 + rank[i], u + 1
 
 
 def test_ranks_at_every_block_edge(multi_segment):
@@ -397,9 +423,7 @@ def test_class_hits_match_tuples_counted_by_divisors():
     def is_prime(p):
         return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
-    for pattern in (CompositePattern("3"), CompositePattern("p", 5),
-                    CompositePattern("p", 13), KL, KKL, kpow(2), kpow(5),
-                    multi(2), multi(3)):
+    for pattern in ALL_KINDS:
         hits = oracle._class_hits(pattern, u_max)
         assert hits.dtype == np.int64
         got = np.bincount(hits, minlength=(u_max - 1) // 2)
@@ -415,6 +439,7 @@ def test_enumerators_refuse_values_above_the_cap(monkeypatch):
     assert count_class(kpow(2), at) == (math.isqrt(cap) - 1) // 2
     assert oracle.p_composite_values(9973, at)[-1] <= cap
     for call in (lambda: count_class(kpow(2), past),
+                 lambda: count_class(KL, past),
                  lambda: count_class_upto(KL, past),
                  lambda: oracle.p_composite_values(9973, past)):
         with pytest.raises(ResourceLimitError, match="exceeds cap"):

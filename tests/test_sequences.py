@@ -23,14 +23,15 @@ def test_element_at_values():
 
 
 def test_element_at_rejects_negative_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index must be >= 0, got -1$"):
         element_at(-1)
 
 
 def test_element_at_rejects_past_64_bit():
     top = (U64_MAX - 3) // 2
     assert element_at(top) == U64_MAX
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=(
+            rf"^element at index {top + 1} exceeds 64-bit range$")):
         element_at(top + 1)
 
 
