@@ -29,8 +29,6 @@ FORMATS = ("text", "json", "csv")
 
 DEFAULT_VERIFY_CLASSES = "3,p:5,p:7,p:11,kl,kkl,kpow:2,kpow:3,w"
 
-CLASSIC_CLASSES = {"p:5", "p:7", "p:11", "kkl"}
-
 MAX_BENCH_REPEATS = 100
 # verify's default classes at this N take about 3.5 s and 93 MB (2-core Xeon)
 MAX_VERIFY_N = 10**6
@@ -154,35 +152,40 @@ def _position_index(args) -> int:
     return sequences.index_of(sequences.floor_element(args.at_x))
 
 
+def _has_classic(pattern: oracle.CompositePattern) -> bool:
+    return pattern.kind == "kkl" or (
+        pattern.kind == "p" and pattern.param in pcomposites.CLASSIC_PRIMES)
+
+
 def _eval_class(token: str, variant: str, n):
     """A class's closed form at index n, or at every index of an array n."""
-    if token == "3":
+    pattern = oracle.CompositePattern.parse(token)
+    kind, classic = pattern.kind, variant == "classic"
+    if classic and not _has_classic(pattern):
+        raise ValueError(f"class {token!r} has no classic variant")
+    if kind == "3":
         return pcomposites.count_three_composites(n)
-    if token.startswith("p:"):
-        p = int(token[2:])
-        if variant == "classic":
-            return pcomposites.count_p_composites_classic(p, n)
-        return pcomposites.count_p_composites(p, n)
-    if token == "kl":
+    if kind == "p":
+        if classic:
+            return pcomposites.count_p_composites_classic(pattern.param, n)
+        return pcomposites.count_p_composites(pattern.param, n)
+    if kind == "kl":
         return counting.count_kl(n)
-    if token == "kkl":
-        if variant == "classic":
-            return counting.count_kkl_classic(n)
-        return counting.count_kkl(n)
-    if token.startswith("kpow:"):
-        return counting.count_kpow(int(token[5:]), n)
+    if kind == "kkl":
+        return counting.count_kkl_classic(n) if classic else counting.count_kkl(n)
+    if kind == "kpow":
+        return counting.count_kpow(pattern.param, n)
     raise ValueError(f"unknown class {token!r}")
 
 
 def _cmd_count(args) -> int:
     token = args.cls
     n = _position_index(args)
-    if args.variant != "exact" and token not in CLASSIC_CLASSES:
-        raise ValueError(f"class {token!r} has no classic variant")
 
     if args.variant == "both":
-        exact = _eval_class(token, "exact", n)
+        # classic first: a class without one is refused before any arithmetic
         classic = _eval_class(token, "classic", n)
+        exact = _eval_class(token, "exact", n)
         data = {
             "class": token,
             "n": n,
@@ -238,14 +241,6 @@ def _cmd_tseries(args) -> int:
 # -- verify ---------------------------------------------------------------
 
 
-def _oracle_sweep(token: str, n_max: int, table: oracle.SieveTable) -> np.ndarray:
-    """Enumeration-based counts for every index 0..n_max."""
-    if token == "w":
-        primes = np.unpackbits(table.packed, count=n_max + 1, bitorder="little")
-        return np.cumsum(1 - primes, dtype=np.int64)
-    return oracle.count_class_upto(oracle.CompositePattern.parse(token), n_max)
-
-
 def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
             table: oracle.SieveTable | None = None):
     """Check each class over every index 0..n_max; print nothing.
@@ -256,9 +251,13 @@ def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
     passed in.
     """
     n = np.arange(n_max + 1, dtype=np.int64)
+    # every token is read before any work; w counts from the sieve
+    patterns = {t: oracle.CompositePattern.parse(t) for t in tokens if t != "w"}
+    classic = {t for t, pattern in patterns.items() if _has_classic(pattern)}
 
     def check(token: str, form: str, got: np.ndarray):
-        want = _oracle_sweep(token, n_max, table)
+        want = (table.odd_composite_count_upto(n_max) if token == "w"
+                else oracle.count_class_upto(patterns[token], n_max))
         diff = np.flatnonzero(got != want)
         label = f"{token}[{'formula' if token == 'w' else form}]"
         found = [
@@ -295,21 +294,12 @@ def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
 
     summaries, rows = [], []
     for token in tokens:
-        if variant == "both" and token in CLASSIC_CLASSES:
-            forms = ["exact", "classic"]
-        elif variant == "classic":
-            if token not in CLASSIC_CLASSES:
-                continue
-            forms = ["classic"]
-        else:
-            forms = ["exact"]
+        forms = [] if variant == "classic" else ["exact"]
+        if variant != "exact" and token in classic:
+            forms.append("classic")
         for form in forms:
-            if token == "w" and form == "classic":
-                continue
-            if (token, form) in checked:
-                summary, found = checked[token, form]
-            else:
-                summary, found = check(token, form, _eval_class(token, form, n))
+            summary, found = checked.get((token, form)) or check(
+                token, form, _eval_class(token, form, n))
             summaries.append(summary)
             rows += found
     return summaries, rows
@@ -354,12 +344,17 @@ def _cmd_verify(args) -> int:
 
 
 def _median_ns(fn, repeats: int) -> int:
-    samples = []
-    for _ in range(repeats):
+    """Median ns per call of fn; each sample loops fn for at least 1 ms."""
+    def sample(loops: int) -> float:
         start = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - start)
-    return int(statistics.median(samples))
+        for _ in range(loops):
+            fn()
+        return (time.perf_counter_ns() - start) / loops
+
+    loops = 1
+    while sample(loops) * loops < 1e6:  # a first call may run cold: re-time
+        loops *= 10
+    return int(statistics.median(sample(loops) for _ in range(repeats)))
 
 
 def _cmd_bench(args) -> int:

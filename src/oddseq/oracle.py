@@ -141,6 +141,14 @@ class SieveTable:
         i = (u - 3) // 2  # an even u has the index of u - 1
         return (i + 1) - self._odd_prime_rank(i)
 
+    def odd_composite_count_upto(self, n_max: int) -> np.ndarray:
+        """odd_composite_count(3 + 2*n) for every index n in 0..n_max."""
+        u = 3 + 2 * n_max
+        if not 3 <= u <= self.limit:
+            raise ValueError(f"{u} outside sieve range [3, {self.limit}]")
+        primes = np.unpackbits(self.packed, count=n_max + 1, bitorder="little")
+        return np.cumsum(1 - primes, dtype=np.int64)
+
     def primes(self, upto: int | None = None) -> np.ndarray:
         """All primes <= upto (default: the sieve limit), ascending."""
         hi = self.limit if upto is None else min(upto, self.limit)
@@ -193,36 +201,40 @@ class SieveTable:
         return cls(int(limit), packed)
 
 
+# each class kind, and whether its token carries a parameter
+_KINDS = {"3": False, "kl": False, "kkl": False,
+          "p": True, "kpow": True, "multi": True}
+
+
 @dataclass(frozen=True)
 class CompositePattern:
-    """Shape of a composite class: 3, p:<q>, kl, kkl, kpow:<j>, or multi:<r>."""
+    """A composite class; parse is the one reader of its token: p:05 is p:5."""
 
     kind: str
     param: int | None = None
 
     def __post_init__(self):
-        if self.kind in ("3", "kl", "kkl"):
-            if self.param is not None:
-                raise ValueError(f"{self.kind} takes no parameter")
-        elif self.kind == "p":
+        if _KINDS.get(self.kind) != (self.param is not None):
+            raise ValueError(f"unknown class {str(self)!r}")
+        if self.kind == "p":
             q = self.param
-            if q is None or q < 5 or not _is_odd_prime(q):
-                raise ValueError(f"p needs an odd prime >= 5, got {q}")
-        elif self.kind == "kpow":
-            if self.param is None or self.param < 1:
-                raise ValueError("kpow needs an exponent >= 1")
-        elif self.kind == "multi":
-            if self.param is None or self.param < 2:
-                raise ValueError("multi needs a factor count >= 2")
-        else:
-            raise ValueError(f"unknown pattern kind: {self.kind}")
+            if q < 5 or q % 2 == 0:
+                raise ValueError(f"counter needs an odd prime >= 5, got {q}")
+            # _is_odd_prime refuses a q whose square leaves 64 bits
+            if not _is_odd_prime(q):
+                d = factorize_ascending(q).factors[0][0]
+                raise ValueError(f"counter needs a prime, got {q} = {d}*{q // d}")
+        elif self.kind == "kpow" and self.param < 1:
+            raise ValueError(f"exponent must be >= 1, got {self.param}")
+        elif self.kind == "multi" and self.param < 2:
+            raise ValueError("multi needs a factor count >= 2")
 
     @classmethod
     def parse(cls, text: str) -> "CompositePattern":
-        if ":" in text:
-            kind, _, arg = text.partition(":")
-            return cls(kind, int(arg))
-        return cls(text)
+        kind, colon, arg = text.partition(":")
+        if _KINDS.get(kind) != bool(colon):
+            raise ValueError(f"unknown class {text!r}")
+        return cls(kind, int(arg) if colon else None)
 
     def __str__(self) -> str:
         if self.param is None:
@@ -251,48 +263,50 @@ def _bounded(u_max: int) -> int:
     return u_max
 
 
-def _runs(kind: str, u_max: int) -> list[range]:
-    """The index runs of 3, kl or kkl instances <= u_max: one per k.
+def _runs(pattern: CompositePattern, u_max: int) -> list[range]:
+    """The index runs of 3, p:<q>, kl or kkl instances <= u_max.
 
-    Pattern 3 is the k = 3 run of kl, 3*m for odd m >= 3.
+    kl and kkl have one run per k, and pattern 3 is the k = 3 run of kl,
+    3*m for odd m >= 3.  p:<q> has one run per start m in q, q+2, q+4
+    that 3 does not divide: q*m then steps by 6q, its index by 3q.
     """
-    j = 2 if kind == "kkl" else 1
     stop = (u_max - 3) // 2 + 1
+    if pattern.kind == "p":
+        q = pattern.param
+        return [range((q * m - 3) // 2, stop, 3 * q)
+                for m in (q, q + 2, q + 4) if m % 3]
+    j = 2 if pattern.kind == "kkl" else 1
     runs = []
     k = 3
     while k**j * k <= u_max:
         # l = k, k + 2, ...: the value steps by 2 * k**j, its index by k**j
         runs.append(range((k**j * k - 3) // 2, stop, k**j))
-        if kind == "3":
+        if pattern.kind == "3":
             break
         k += 2
     return runs
 
 
-_RUN_KINDS = ("3", "kl", "kkl")
+_RUN_KINDS = ("3", "p", "kl", "kkl")
 
 
 def _class_hits(pattern: CompositePattern, u_max: int) -> np.ndarray:
     """The index (value - 3) // 2 of every pattern instance <= u_max.
 
     An index comes once for each tuple with that value, as int64 runs
-    built by np.arange.  Refuses u_max above DEFAULT_MAX_LIMIT.
+    built by np.arange, not sorted.  Refuses u_max above DEFAULT_MAX_LIMIT.
     """
     _bounded(u_max)
     kind = pattern.kind
     if kind in _RUN_KINDS:
-        runs = _runs(kind, u_max)
-        # one arange per k, concatenated in place: no second copy of the runs
+        runs = _runs(pattern, u_max)
+        # one arange per run, concatenated in place: no second copy of the runs
         hits = np.empty(sum(map(len, runs)), np.int64)
         end = 0
         for run in runs:
             hits[end : end + len(run)] = np.arange(run.start, run.stop, run.step)
             end += len(run)
         return hits
-    if kind == "p":
-        q = pattern.param
-        m = np.arange(q, u_max // q + 1, 2)
-        return (q * m[m % 3 != 0] - 3) // 2
     hits = []
     if kind == "kpow":
         j = pattern.param
@@ -331,7 +345,7 @@ def count_class(pattern: CompositePattern, n: int) -> int:
         raise ValueError(f"index must be >= 0, got {n}")
     if pattern.kind in _RUN_KINDS:
         # the runs' lengths, without the hits
-        return sum(map(len, _runs(pattern.kind, _bounded(3 + 2 * n))))
+        return sum(map(len, _runs(pattern, _bounded(3 + 2 * n))))
     return len(_class_hits(pattern, 3 + 2 * n))
 
 
@@ -353,7 +367,7 @@ def p_composite_values(p: int, n: int) -> list[int]:
     3 not dividing m); the closed-form counters are checked against it.
     """
     hits = _class_hits(CompositePattern("p", p), element_at(n))
-    return (3 + 2 * hits).tolist()
+    return (3 + 2 * np.sort(hits)).tolist()
 
 
 @dataclass(frozen=True)

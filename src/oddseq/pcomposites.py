@@ -21,20 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .oracle import factorize_ascending
-from .sequences import _is_odd_prime, check_index
+from .oracle import CompositePattern
+from .sequences import check_index
 
 CLASSIC_PRIMES = (5, 7, 11)
-
-
-def _check_counter_prime(p: int) -> None:
-    if p < 5 or p % 2 == 0:
-        raise ValueError(f"counter needs an odd prime >= 5, got {p}")
-    # p*p, the first p-composite, must be an element: _is_odd_prime
-    # refuses p beyond that before it divides
-    if not _is_odd_prime(p):
-        d = factorize_ascending(p).factors[0][0]
-        raise ValueError(f"counter needs a prime, got {p} = {d}*{p // d}")
 
 
 def threshold_index(p: int) -> int:
@@ -61,7 +51,7 @@ class ZCounter:
 
     @classmethod
     def for_prime(cls, p: int) -> "ZCounter":
-        _check_counter_prime(p)
+        CompositePattern("p", p)  # validates p: an odd prime >= 5
         phase = Fraction(2, 3) if p % 3 == 1 else Fraction(1, 3)
         return cls(p, threshold_index(p), p, phase)
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,77 @@ def test_count_classic_needs_known_class(capsys):
 def test_count_unknown_class(capsys):
     code, _, err = run(capsys, "count", "blob", "--at-n", "10")
     assert code == 2
+
+
+# one fault per token: the message each prints, pinned across refactors
+_SINGLE_FAULT_TOKENS = [
+    ("blob", "unknown class 'blob'"),
+    ("P:5", "unknown class 'P:5'"),
+    ("kl:3", "unknown class 'kl:3'"),
+    ("3:1", "unknown class '3:1'"),
+    ("kkl:2", "unknown class 'kkl:2'"),
+    ("multi:3", "unknown class 'multi:3'"),
+    ("p:3", "counter needs an odd prime >= 5, got 3"),
+    ("p:4", "counter needs an odd prime >= 5, got 4"),
+    ("p:9", "counter needs a prime, got 9 = 3*3"),
+    ("p:25", "counter needs a prime, got 25 = 5*5"),
+    ("p:abc", "invalid literal for int() with base 10: 'abc'"),
+    ("kpow:0", "exponent must be >= 1, got 0"),
+    ("kpow:-1", "exponent must be >= 1, got -1"),
+    ("kpow:x", "invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[(["count", token, "--at-n", "5"], message)
+      for token, message in _SINGLE_FAULT_TOKENS],
+    (["count", " p:5", "--at-n", "5"], "unknown class ' p:5'"),
+    *[(["verify", "--classes", token, "--max-n", "5"], message)
+      for token, message in _SINGLE_FAULT_TOKENS],
+    (["count", "kl", "--at-n", "5", "--variant", "classic"],
+     "class 'kl' has no classic variant"),
+])
+def test_single_fault_class_tokens_keep_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("variant", ["exact", "classic", "both"])
+@pytest.mark.parametrize("token", ["p:05", "p:+5"])
+def test_a_class_token_means_what_it_parses_to(capsys, token, variant):
+    flags = ["--variant", variant, "--format", "json"]
+    code, out, _ = run(capsys, "count", token, "--at-n", "100", *flags)
+    _, want, _ = run(capsys, "count", "p:5", "--at-n", "100", *flags)
+    assert code == 0
+    assert json.loads(out) == {**json.loads(want), "class": token}
+
+    flags = ["--max-n", "300", *flags]
+    code, out, _ = run(capsys, "verify", "--classes", token, *flags)
+    want_code, want, _ = run(capsys, "verify", "--classes", "p:5", *flags)
+    labels = ["p:5[classic]"] if variant == "classic" else ["p:5[exact]"]
+    if variant == "both":
+        labels.append("p:5[classic]")
+    assert [s["class"] for s in json.loads(want)["summaries"]] == labels
+    assert code == want_code
+    assert out == want.replace('"p:5[', f'"{token}[')
+
+
+def test_verify_refuses_a_malformed_class_under_every_variant(capsys):
+    # a token is read before its forms are chosen, so classic skips none
+    for variant in ("exact", "classic", "both"):
+        code, out, err = run(capsys, "verify", "--classes", "3,blob",
+                             "--variant", variant)
+        assert (code, out, err) == (2, "", "error: unknown class 'blob'\n")
+
+
+def test_bench_times_a_loop_of_calls_per_sample():
+    calls = []
+    ns = cli._median_ns(lambda: calls.append(None), 3)
+    # at least 1 ms per sample of a sub-microsecond call: many calls each
+    assert len(calls) > 3000 and 0 < ns < 100_000
+    calls.clear()
+    cli._median_ns(lambda: calls.append(time.sleep(0.002)), 3)
+    assert len(calls) == 4  # the first timing, then one call per sample
 
 
 def test_count_requires_position(capsys):

@@ -194,9 +194,10 @@ def test_count_class_upto_matches_scalar():
             assert sweep[n] == count_class(pattern, n), (pattern, n)
 
 
+# p:97 starts past most ranges below: both of its runs are empty there
 ALL_KINDS = (CompositePattern("3"), CompositePattern("p", 5),
-             CompositePattern("p", 13), KL, KKL, kpow(2), kpow(5),
-             multi(2), multi(3))
+             CompositePattern("p", 13), CompositePattern("p", 97), KL, KKL,
+             kpow(2), kpow(5), multi(2), multi(3))
 
 
 def test_count_class_counts_the_hits():
@@ -207,14 +208,16 @@ def test_count_class_counts_the_hits():
 
 
 def test_count_class_holds_no_hit_array():
-    tracemalloc.start()
-    try:
-        # recorded from the enumerator that held every hit (166 MB peak)
-        assert count_class(KL, 5_000_000) == 17_074_331
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # recorded from the enumerators that held every hit (166 and 17 MB peak)
+    p5 = CompositePattern("p", 5)
+    for pattern, count in ((KL, 17_074_331), (p5, 666_666)):
+        tracemalloc.start()
+        try:
+            assert count_class(pattern, 5_000_000) == count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, pattern
 
 
 def test_power_enumerators_skip_powers_above_the_range():
@@ -237,6 +240,27 @@ def test_pattern_parse_and_validation():
         CompositePattern("multi", 1)
     with pytest.raises(ValueError):
         CompositePattern("weird")
+
+
+def test_pattern_messages_name_the_token():
+    for args, message in [
+        (("kl", 3), "unknown class 'kl:3'"),
+        (("weird",), "unknown class 'weird'"),
+        (("p",), "unknown class 'p'"),
+        (("p", 4), "counter needs an odd prime >= 5, got 4"),
+        (("p", 25), "counter needs a prime, got 25 = 5*5"),
+        (("kpow", 0), "exponent must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            CompositePattern(*args)
+        assert str(exc.value) == message
+    # parse echoes the token as written, even where int() would read it
+    for text in ("kl:05", "kl:abc", "3:", "kpow", ":", ""):
+        with pytest.raises(ValueError) as exc:
+            CompositePattern.parse(text)
+        assert str(exc.value) == f"unknown class {text!r}"
+    assert CompositePattern.parse("p:05") == CompositePattern.parse("p:+5")
+    assert CompositePattern.parse("p:05") == CompositePattern("p", 5)
 
 
 def test_three_and_p_patterns():
@@ -357,6 +381,28 @@ def check_ranks(table, rank, indices):
         if u < table.limit:
             assert table.prime_count(u + 1) == 1 + rank[i], u + 1
             assert pi_of(u + 1, Strategy.ORACLE, table).pi == 1 + rank[i], u + 1
+
+
+def test_odd_composite_count_upto_matches_the_scalar(multi_segment):
+    table, rank = multi_segment
+    n_max = len(rank) - 1
+    counts = table.odd_composite_count_upto(n_max)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.arange(1, n_max + 2) - rank)
+    # across the first 512-odd block edge and the segment edge, and sampled
+    sampled = np.random.default_rng(11).integers(0, n_max + 1, 200).tolist()
+    for n in [510, 511, 512, 513, SEGMENT - 1, SEGMENT, n_max, *sampled]:
+        assert counts[n] == table.odd_composite_count(3 + 2 * n), n
+    assert np.array_equal(table.odd_composite_count_upto(600), counts[:601])
+    for limit in (3, 10, 1030, 1031):  # the bitmap ends inside a byte
+        small = SieveTable.build(limit)
+        top = (limit - 3) // 2
+        assert small.odd_composite_count_upto(top).tolist() == [
+            small.odd_composite_count(3 + 2 * n) for n in range(top + 1)]
+        with pytest.raises(ValueError, match="outside sieve range"):
+            small.odd_composite_count_upto(top + 1)
+    with pytest.raises(ValueError, match="outside sieve range"):
+        table.odd_composite_count_upto(-1)
 
 
 def test_ranks_at_every_block_edge(multi_segment):

@@ -85,6 +85,14 @@ def test_classic_rejects_other_primes():
         count_p_composites_classic(13, 100)
 
 
+def test_counter_prime_messages_come_from_the_class_pattern():
+    for p, message in [(25, "counter needs a prime, got 25 = 5*5"),
+                       (4, "counter needs an odd prime >= 5, got 4")]:
+        with pytest.raises(ValueError) as exc:
+            ZCounter.for_prime(p)
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("bad_p", [4, 9, 3, 1, 15, -5])
 def test_counters_reject_non_counter_primes(bad_p):
     with pytest.raises(ValueError):
