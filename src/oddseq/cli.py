@@ -124,7 +124,7 @@ def _cmd_pi(args) -> int:
     strategy = counting.Strategy(args.strategy)
     table = None
     if strategy is counting.Strategy.ORACLE and args.x >= 3:
-        table = _get_table(int(args.x))
+        table = _get_table(args.x)
     data = counting.pi_of(args.x, strategy, table).to_dict()
     header = ["x", "strategy", "n", "m_n", "w_n", "m", "pi"]
     labels = ["x", "strategy", "n", "M_n", "W_n", "m", "pi"]
@@ -343,18 +343,31 @@ def _cmd_verify(args) -> int:
 # -- bench ----------------------------------------------------------------
 
 
-def _median_ns(fn, repeats: int) -> int:
-    """Median ns per call of fn; each sample loops fn for at least 1 ms."""
-    def sample(loops: int) -> float:
+def _medians_ns(fns, repeats: int) -> list[int]:
+    """Median ns per call of each fn; each sample loops fn for at least 1 ms.
+
+    The loops are sized first; then each of the repeats rounds samples
+    every fn in order, so a change in the host's speed reaches all alike.
+    """
+    def sample(fn, loops: int) -> float:
         start = time.perf_counter_ns()
         for _ in range(loops):
             fn()
         return (time.perf_counter_ns() - start) / loops
 
-    loops = 1
-    while sample(loops) * loops < 1e6:  # a first call may run cold: re-time
-        loops *= 10
-    return int(statistics.median(sample(loops) for _ in range(repeats)))
+    sized = []
+    for fn in fns:
+        loops = 1
+        while sample(fn, loops) * loops < 1e6:  # a first call may be cold
+            loops *= 10
+        sized.append((fn, loops))
+    rounds = [[sample(fn, loops) for fn, loops in sized] for _ in range(repeats)]
+    return [int(statistics.median(samples)) for samples in zip(*rounds)]
+
+
+def _median_ns(fn, repeats: int) -> int:
+    """Median ns per call of fn alone."""
+    return _medians_ns([fn], repeats)[0]
 
 
 def _cmd_bench(args) -> int:
@@ -383,9 +396,10 @@ def _cmd_bench(args) -> int:
         ("rank build", first_query),
         ("rank query", lambda: table.prime_count(x_max)),
     ]
+    names, fns = zip(*layers)
     rows = [
-        {"name": name, "x": x_max, "median_ns": _median_ns(fn, repeats)}
-        for name, fn in layers
+        {"name": name, "x": x_max, "median_ns": ns}
+        for name, ns in zip(names, _medians_ns(fns, repeats))
     ]
 
     def lines():

@@ -303,7 +303,7 @@ def assemble_w(
         return sum(weight * count for _, count, weight in _w_formula_terms(n))
     u = element_at(n)
     if table is None or table.limit < u:
-        table = SieveTable.build(max(u, 3))
+        table = SieveTable.build(u)
     return table.odd_composite_count(u)
 
 

@@ -13,6 +13,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -254,74 +255,40 @@ def multi(r: int) -> CompositePattern:
     return CompositePattern("multi", r)
 
 
-def _bounded(u_max: int) -> int:
-    """u_max, refused above DEFAULT_MAX_LIMIT: the hits would take gigabytes."""
-    if u_max > DEFAULT_MAX_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration bound {u_max} exceeds cap {DEFAULT_MAX_LIMIT}"
-        )
-    return u_max
+def _instances(pattern: CompositePattern,
+               u_max: int) -> tuple[list[range], list[int]]:
+    """The index (value - 3) // 2 of every pattern instance <= u_max.
 
-
-def _runs(pattern: CompositePattern, u_max: int) -> list[range]:
-    """The index runs of 3, p:<q>, kl or kkl instances <= u_max.
+    Returns (runs, points): 3, p:<q>, kl and kkl come as ascending index
+    runs, kpow and multi as single indices.  An index comes once for each
+    tuple with that value.  Refuses u_max above DEFAULT_MAX_LIMIT.
 
     kl and kkl have one run per k, and pattern 3 is the k = 3 run of kl,
     3*m for odd m >= 3.  p:<q> has one run per start m in q, q+2, q+4
     that 3 does not divide: q*m then steps by 6q, its index by 3q.
     """
+    if u_max > DEFAULT_MAX_LIMIT:
+        raise ResourceLimitError(
+            f"enumeration bound {u_max} exceeds cap {DEFAULT_MAX_LIMIT}"
+        )
+    kind, param = pattern.kind, pattern.param
     stop = (u_max - 3) // 2 + 1
-    if pattern.kind == "p":
-        q = pattern.param
-        return [range((q * m - 3) // 2, stop, 3 * q)
-                for m in (q, q + 2, q + 4) if m % 3]
-    j = 2 if pattern.kind == "kkl" else 1
-    runs = []
-    k = 3
-    while k**j * k <= u_max:
-        # l = k, k + 2, ...: the value steps by 2 * k**j, its index by k**j
-        runs.append(range((k**j * k - 3) // 2, stop, k**j))
-        if pattern.kind == "3":
-            break
-        k += 2
-    return runs
-
-
-_RUN_KINDS = ("3", "p", "kl", "kkl")
-
-
-def _class_hits(pattern: CompositePattern, u_max: int) -> np.ndarray:
-    """The index (value - 3) // 2 of every pattern instance <= u_max.
-
-    An index comes once for each tuple with that value, as int64 runs
-    built by np.arange, not sorted.  Refuses u_max above DEFAULT_MAX_LIMIT.
-    """
-    _bounded(u_max)
-    kind = pattern.kind
-    if kind in _RUN_KINDS:
-        runs = _runs(pattern, u_max)
-        # one arange per run, concatenated in place: no second copy of the runs
-        hits = np.empty(sum(map(len, runs)), np.int64)
-        end = 0
-        for run in runs:
-            hits[end : end + len(run)] = np.arange(run.start, run.stop, run.step)
-            end += len(run)
-        return hits
-    hits = []
-    if kind == "kpow":
-        j = pattern.param
+    runs, points = [], []
+    if kind == "p":
+        runs = [range((param * m - 3) // 2, stop, 3 * param)
+                for m in (param, param + 2, param + 4) if m % 3]
+    elif kind == "kpow":
         k = 3
-        # 3**j > u once j reaches u's bit length: never build that power
-        while j < u_max.bit_length() and k**j <= u_max:
-            hits.append((k**j - 3) // 2)
+        # 3**param > u once param reaches u's bit length: never build it
+        while param < u_max.bit_length() and k**param <= u_max:
+            points.append((k**param - 3) // 2)
             k += 2
-    else:
-        r = pattern.param
-        primes = _odd_primes_upto(u_max // max(3 ** (r - 1), 1) + 1)
+    elif kind == "multi":
+        primes = _odd_primes_upto(u_max // 3 ** (param - 1) + 1)
 
         def descend(start: int, remaining: int, product: int) -> None:
             if remaining == 0:
-                hits.append((product - 3) // 2)
+                points.append((product - 3) // 2)
                 return
             for i in range(start, len(primes)):
                 p = primes[i]
@@ -329,8 +296,17 @@ def _class_hits(pattern: CompositePattern, u_max: int) -> np.ndarray:
                     break
                 descend(i + 1, remaining - 1, product * p)
 
-        descend(0, r, 1)
-    return np.array(hits, dtype=np.int64)
+        descend(0, param, 1)
+    else:
+        j = 2 if kind == "kkl" else 1
+        k = 3
+        while k**j * k <= u_max:
+            # l = k, k + 2, ...: the value steps by 2 * k**j, its index by k**j
+            runs.append(range((k**j * k - 3) // 2, stop, k**j))
+            if kind == "3":
+                break
+            k += 2
+    return runs, points
 
 
 def count_class(pattern: CompositePattern, n: int) -> int:
@@ -343,20 +319,21 @@ def count_class(pattern: CompositePattern, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if pattern.kind in _RUN_KINDS:
-        # the runs' lengths, without the hits
-        return sum(map(len, _runs(pattern, _bounded(3 + 2 * n))))
-    return len(_class_hits(pattern, 3 + 2 * n))
+    runs, points = _instances(pattern, 3 + 2 * n)
+    return sum(map(len, runs)) + len(points)
 
 
 def count_class_upto(pattern: CompositePattern, n_max: int) -> np.ndarray:
     """count_class for every index 0..n_max in one pass.
 
-    Enumerates each tuple once, buckets it at the index where its value
-    enters the sequence, and accumulates.  Built for differential sweeps.
+    Counts each instance once at the index where its value enters the
+    sequence (a strided add per run), then accumulates.  Built for
+    differential sweeps; the counts are the only array.
     """
-    counts = np.bincount(_class_hits(pattern, 3 + 2 * n_max),
-                         minlength=n_max + 1)
+    runs, points = _instances(pattern, 3 + 2 * n_max)
+    counts = np.bincount(np.asarray(points, np.int64), minlength=n_max + 1)
+    for run in runs:  # each run stops at n_max + 1, the end of counts
+        counts[run.start :: run.step] += 1
     return np.cumsum(counts, out=counts)
 
 
@@ -366,8 +343,10 @@ def p_composite_values(p: int, n: int) -> list[int]:
     Enumerated directly from the definition (p times odd m >= p with
     3 not dividing m); the closed-form counters are checked against it.
     """
-    hits = _class_hits(CompositePattern("p", p), element_at(n))
-    return (3 + 2 * np.sort(hits)).tolist()
+    runs, _ = _instances(CompositePattern("p", p), element_at(n))
+    # sorted meets the runs as two ascending stretches and merges them once
+    return sorted(chain.from_iterable(
+        range(3 + 2 * run.start, 3 + 2 * run.stop, 2 * run.step) for run in runs))
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,29 @@ def test_bench_times_a_loop_of_calls_per_sample():
     assert len(calls) == 4  # the first timing, then one call per sample
 
 
+def test_bench_interleaves_the_samples_of_its_rows(monkeypatch, capsys):
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            time.sleep(0.001)  # one call fills a sample
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(counting, "pi_of")  # the pi(oracle) and pi(formula) rows
+    spy(cli.primegen, "first_n_primes")
+    spy(cli, "_verify")
+    code, _, _ = run(capsys, "bench", "--x-max", "1000", "--repeats", "3")
+    assert code == 0
+    # each row sized once, then three rounds of one sample per row
+    row_calls = ["pi_of", "pi_of", "first_n_primes", "_verify"]
+    assert calls == row_calls * 4
+
+
 def test_count_requires_position(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "p:5"])

@@ -203,8 +203,8 @@ ALL_KINDS = (CompositePattern("3"), CompositePattern("p", 5),
 def test_count_class_counts_the_hits():
     for pattern in ALL_KINDS:
         for n in (0, 3, 12, 36, 51, 1000, 99_999):
-            hits = oracle._class_hits(pattern, 3 + 2 * n)
-            assert count_class(pattern, n) == len(hits), (pattern, n)
+            swept = count_class_upto(pattern, n)[-1]
+            assert count_class(pattern, n) == swept, (pattern, n)
 
 
 def test_count_class_holds_no_hit_array():
@@ -218,6 +218,18 @@ def test_count_class_holds_no_hit_array():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, pattern
+
+
+def test_count_class_upto_holds_only_its_counts():
+    # the enumerator that built every hit peaked at 30.6 MiB here
+    n_max = 10**6
+    tracemalloc.start()
+    try:
+        assert count_class_upto(KL, n_max)[-1] == count_class(KL, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * (n_max + 1)
 
 
 def test_power_enumerators_skip_powers_above_the_range():
@@ -470,9 +482,9 @@ def test_class_hits_match_tuples_counted_by_divisors():
         return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
     for pattern in ALL_KINDS:
-        hits = oracle._class_hits(pattern, u_max)
-        assert hits.dtype == np.int64
-        got = np.bincount(hits, minlength=(u_max - 1) // 2)
+        counts = count_class_upto(pattern, (u_max - 3) // 2)
+        assert counts.dtype == np.int64
+        got = np.diff(counts, prepend=0)
         want = [_tuples_by_divisors(pattern, v, divisors, is_prime)
                 for v in range(3, u_max + 1, 2)]
         assert got.tolist() == want, pattern
