@@ -365,11 +365,6 @@ def _medians_ns(fns, repeats: int) -> list[int]:
     return [int(statistics.median(samples)) for samples in zip(*rounds)]
 
 
-def _median_ns(fn, repeats: int) -> int:
-    """Median ns per call of fn alone."""
-    return _medians_ns([fn], repeats)[0]
-
-
 def _cmd_bench(args) -> int:
     x_max = int(args.x_max)
     repeats = args.repeats

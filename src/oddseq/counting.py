@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .oracle import DEFAULT_MAX_LIMIT, SieveTable, _odd_primes_upto
-from .sequences import element_at, floor_element, index_of
+from .sequences import element_at, floor_element
 
 # the pair counters sum one Python term per odd k up to a root of u, at
 # about 0.4 us a term for an int u: this many take about 1 s
@@ -290,7 +290,7 @@ def assemble_w(
 ):
     """Number of distinct composites among the odds 3 .. 3 + 2*n.
 
-    Strategy.ORACLE counts nonprime odds off the sieve bitmap (exact);
+    Strategy.ORACLE is the w_n of pi_of at element 3 + 2*n (exact);
     Strategy.FORMULA evaluates the closed-form class combination, whose
     deviation is reported by `verify` rather than patched over.  Under
     Strategy.FORMULA n may be an int64 index array, giving every W_n of
@@ -301,10 +301,7 @@ def assemble_w(
     if strategy is Strategy.FORMULA:
         # one term array at a time: the terms are not kept
         return sum(weight * count for _, count, weight in _w_formula_terms(n))
-    u = element_at(n)
-    if table is None or table.limit < u:
-        table = SieveTable.build(u)
-    return table.odd_composite_count(u)
+    return pi_of(element_at(n), strategy, table).w_n
 
 
 class PiBreakdown(namedtuple(
@@ -368,8 +365,9 @@ def pi_of(
 ) -> PiBreakdown:
     """Count primes <= x through the odd-sequence decomposition.
 
-    Exact under Strategy.ORACLE.  A prebuilt SieveTable covering x makes
-    repeated calls O(1) each.
+    Exact under Strategy.ORACLE: x is floored once to its element u, and
+    W_n is read off table, or off a table built to u when none is given
+    or it does not cover u.  A prebuilt table makes each call O(1).
     """
     if x < 2:
         raise ValueError(f"pi is defined for x >= 2, got {x}")
@@ -379,10 +377,14 @@ def pi_of(
     if x < 3:
         return PiBreakdown(x, name, None, 0, 0, 1, 1)
 
-    n = index_of(floor_element(x))
+    u = floor_element(x)  # odd and >= 3: its index needs no check
+    n = (u - 3) // 2
     m_n = n + 1
     if strategy is Strategy.ORACLE:
-        w_n = assemble_w(n, strategy, table)
+        if table is None or table.limit < u:
+            # element_at refuses a u past 64 bits before the sieve cap does
+            table = SieveTable.build(element_at(n))
+        w_n = table.odd_composite_count(u)
         counts = None
     else:
         terms = list(_w_formula_terms(n))

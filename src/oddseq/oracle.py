@@ -130,10 +130,8 @@ class SieveTable:
             raise ValueError(f"{x} outside sieve range [2, {self.limit}]")
         if x < 3:
             return 1
-        u = int(x)
-        if u % 2 == 0:
-            u -= 1
-        return 1 + self._odd_prime_rank((u - 3) // 2)
+        # an even x has the index of x - 1
+        return 1 + self._odd_prime_rank((int(x) - 3) // 2)
 
     def odd_composite_count(self, u: int) -> int:
         """Number of composite odd numbers in [3, u]."""
@@ -284,7 +282,9 @@ def _instances(pattern: CompositePattern,
             points.append((k**param - 3) // 2)
             k += 2
     elif kind == "multi":
-        primes = _odd_primes_upto(u_max // 3 ** (param - 1) + 1)
+        # 3**param > u once param reaches u's bit length: no prime list
+        primes = (_odd_primes_upto(u_max // 3 ** (param - 1) + 1)
+                  if param < u_max.bit_length() else [])
 
         def descend(start: int, remaining: int, product: int) -> None:
             if remaining == 0:

@@ -168,11 +168,11 @@ def test_verify_refuses_a_malformed_class_under_every_variant(capsys):
 
 def test_bench_times_a_loop_of_calls_per_sample():
     calls = []
-    ns = cli._median_ns(lambda: calls.append(None), 3)
+    ns = cli._medians_ns([lambda: calls.append(None)], 3)[0]
     # at least 1 ms per sample of a sub-microsecond call: many calls each
     assert len(calls) > 3000 and 0 < ns < 100_000
     calls.clear()
-    cli._median_ns(lambda: calls.append(time.sleep(0.002)), 3)
+    cli._medians_ns([lambda: calls.append(time.sleep(0.002))], 3)
     assert len(calls) == 4  # the first timing, then one call per sample
 
 

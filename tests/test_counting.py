@@ -300,3 +300,47 @@ def test_pair_counters_cap_their_k_terms(monkeypatch):
     assert count_kkl_classic(index_of(23**2 - 2)) >= 0
     with pytest.raises(ResourceLimitError):
         count_kkl_classic(index_of(23**2))
+
+
+def test_warm_oracle_query_reads_the_table_directly(table, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm pi_of converts x once")
+
+    for name in ("assemble_w", "index_of", "element_at"):
+        monkeypatch.setattr(counting, name, refuse, raising=False)
+    for x in (3, 1000, 1000.5, 1_999_999, 2_000_000):
+        assert pi_of(x, Strategy.ORACLE, table).pi == table.prime_count(x)
+
+
+# (x, error, its message under oracle, under formula) above the sieve cap:
+# an element past 64 bits overflows before either cap applies
+CAPPED = "18446744073709551615 exceeds cap 100000000"
+WIDE = "element at index {} exceeds 64-bit range"
+RANGE_ERRORS = [
+    (2**64 - 1, ResourceLimitError, "sieve limit " + CAPPED,
+     "formula element " + CAPPED),
+    (2**64, ResourceLimitError, "sieve limit " + CAPPED,
+     "formula element " + CAPPED),
+    (2**64 + 1, OverflowError, WIDE.format(2**63 - 1), WIDE.format(2**63 - 1)),
+    (10**30, OverflowError, WIDE.format(10**30 // 2 - 2),
+     WIDE.format(10**30 // 2 - 2)),
+]
+
+
+def test_pi_of_range_errors_above_the_cap(table):
+    for x, error, oracle_message, formula_message in RANGE_ERRORS:
+        for strategy, message in (("oracle", oracle_message),
+                                  ("formula", formula_message)):
+            for given in (None, table):
+                with pytest.raises(error) as exc:
+                    pi_of(x, strategy, given)
+                assert type(exc.value) is error
+                assert str(exc.value) == message, (x, strategy, given)
+
+
+def test_assemble_w_oracle_is_the_w_n_of_pi_of(table):
+    for n in range(5001):
+        u = 3 + 2 * n
+        w = assemble_w(n, Strategy.ORACLE, table)
+        assert w == table.odd_composite_count(u) == pi_of(
+            u, Strategy.ORACLE, table).w_n, n

@@ -240,6 +240,19 @@ def test_power_enumerators_skip_powers_above_the_range():
     assert not count_class_upto(kpow(10**20), 100).any()
 
 
+def test_multi_enumerator_skips_factor_counts_above_the_range():
+    # 10**6 distinct odd primes multiply past 13 = 3 + 2*5; computing
+    # 3**(10**6 - 1) before comparing peaked near 950 KB
+    tracemalloc.start()
+    try:
+        assert count_class(multi(10**6), 5) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    assert not count_class_upto(multi(10**6), 5).any()
+
+
 def test_pattern_parse_and_validation():
     assert CompositePattern.parse("kpow:3") == kpow(3)
     assert CompositePattern.parse("kl") == KL
