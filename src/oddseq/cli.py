@@ -144,14 +144,6 @@ def _cmd_pi(args) -> int:
 # -- count ----------------------------------------------------------------
 
 
-def _position_index(args) -> int:
-    if args.at_n is not None:
-        if args.at_n < 0:
-            raise ValueError(f"--at-n must be >= 0, got {args.at_n}")
-        return args.at_n
-    return sequences.index_of(sequences.floor_element(args.at_x))
-
-
 def _has_classic(pattern: oracle.CompositePattern) -> bool:
     return pattern.kind == "kkl" or (
         pattern.kind == "p" and pattern.param in pcomposites.CLASSIC_PRIMES)
@@ -180,7 +172,10 @@ def _eval_class(token: str, variant: str, n):
 
 def _cmd_count(args) -> int:
     token = args.cls
-    n = _position_index(args)
+    # the counters refuse an index outside the domain themselves
+    n = args.at_n
+    if n is None:
+        n = sequences.index_of(sequences.floor_element(args.at_x))
 
     if args.variant == "both":
         # classic first: a class without one is refused before any arithmetic

@@ -38,7 +38,8 @@ from .oracle import DEFAULT_MAX_LIMIT, SieveTable, _odd_primes_upto
 from .sequences import element_at, floor_element
 
 # the pair counters sum one Python term per odd k up to a root of u, at
-# about 0.4 us a term for an int u: this many take about 1 s
+# about 0.4 us a term for an int u: this many take about 1 s.  The root
+# of an array lists one int64 power per base, under the same cap.
 MAX_K_TERMS = 2_500_000
 
 
@@ -108,7 +109,8 @@ def nth_root_floor(value, j: int):
 
     Floating-point roots misround at perfect-power boundaries, which is
     precisely where the power counters need exactness.  For an int64
-    array the roots are ranks among the exact powers 1**j, 2**j, ...
+    array the roots are ranks among the exact powers 1**j, 2**j, ...,
+    refused (ResourceLimitError) above MAX_K_TERMS bases.
     """
     low = int(value.min(initial=0)) if isinstance(value, np.ndarray) else value
     if low < 0 or j < 1:
@@ -116,7 +118,10 @@ def nth_root_floor(value, j: int):
     if j == 1:
         return value
     if isinstance(value, np.ndarray):
-        bases = np.arange(1, nth_root_floor(_largest(value), j) + 1)
+        top = nth_root_floor(_largest(value), j)
+        if top > MAX_K_TERMS:
+            raise ResourceLimitError(f"{top} bases exceed cap {MAX_K_TERMS}")
+        bases = np.arange(1, top + 1)
         # a base above 1 means 2**j fits in int64; [1] ** j is [1] for any j
         powers = bases ** j if len(bases) > 1 else bases
         return np.searchsorted(powers, value, "right")
@@ -161,8 +166,6 @@ def count_kkl_classic(n):
 
 def count_kpow(j: int, n):
     """Odd bases k >= 3 with k**j <= 3 + 2*n."""
-    if j < 1:
-        raise ValueError(f"exponent must be >= 1, got {j}")
     # the odd bases up to root are 1, 3, ..., and 1 is not counted
     return (nth_root_floor(element_at(n), j) - 1) // 2
 
@@ -301,6 +304,9 @@ def assemble_w(
     if strategy is Strategy.FORMULA:
         # one term array at a time: the terms are not kept
         return sum(weight * count for _, count, weight in _w_formula_terms(n))
+    if isinstance(n, np.ndarray):
+        raise ValueError("Strategy.ORACLE takes one index; for a range use"
+                         " SieveTable.odd_composite_count_upto")
     return pi_of(element_at(n), strategy, table).w_n
 
 

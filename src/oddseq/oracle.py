@@ -317,9 +317,7 @@ def count_class(pattern: CompositePattern, n: int) -> int:
     3 <= k <= l for kl and kkl; odd bases for kpow; ascending tuples of
     distinct odd primes for multi.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    runs, points = _instances(pattern, 3 + 2 * n)
+    runs, points = _instances(pattern, element_at(n))
     return sum(map(len, runs)) + len(points)
 
 
@@ -330,7 +328,7 @@ def count_class_upto(pattern: CompositePattern, n_max: int) -> np.ndarray:
     sequence (a strided add per run), then accumulates.  Built for
     differential sweeps; the counts are the only array.
     """
-    runs, points = _instances(pattern, 3 + 2 * n_max)
+    runs, points = _instances(pattern, element_at(n_max))
     counts = np.bincount(np.asarray(points, np.int64), minlength=n_max + 1)
     for run in runs:  # each run stops at n_max + 1, the end of counts
         counts[run.start :: run.step] += 1

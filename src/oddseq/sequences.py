@@ -32,15 +32,21 @@ MAX_WHEEL_ELEMENTS = 1_000_000
 
 
 def check_index(n) -> None:
-    """Raise unless index n, or every entry of an array n, is in the domain.
+    """Raise unless index n, or each entry of an int64 array n, is in the domain.
 
-    The domain is the one of element_at: n >= 0 (ValueError), and for an
-    int, an element 3 + 2*n that fits in 64 bits (OverflowError).
+    The domain is n >= 0 (ValueError) with an element 3 + 2*n that fits
+    in 64 bits for an int and in int64 for an array (OverflowError).
     """
-    if not isinstance(n, np.ndarray):
-        element_at(n)
-    elif n.min(initial=0) < 0:
-        raise ValueError(f"index must be >= 0, got {int(n.min())}")
+    if isinstance(n, np.ndarray):
+        low, high = int(n.min(initial=0)), int(n.max(initial=0))
+        top, bits = (2**63 - 1 - 3) // 2, "int64"
+    else:
+        low = high = n
+        top, bits = (U64_MAX - 3) // 2, "64-bit"
+    if low < 0:
+        raise ValueError(f"index must be >= 0, got {low}")
+    if high > top:
+        raise OverflowError(f"element at index {high} exceeds {bits} range")
 
 
 def element_at(n):
@@ -48,17 +54,8 @@ def element_at(n):
 
     An int64 index array gives the array of elements.
     """
-    if isinstance(n, np.ndarray):
-        check_index(n)
-        return 3 + 2 * n
-    # the int path stays inline, with one range test: pi_of goes
-    # through it on every query
-    u = 3 + 2 * n
-    if not 3 <= u <= U64_MAX:
-        if n < 0:
-            raise ValueError(f"index must be >= 0, got {n}")
-        raise OverflowError(f"element at index {n} exceeds 64-bit range")
-    return u
+    check_index(n)
+    return 3 + 2 * n
 
 
 def index_of(u: int) -> int:

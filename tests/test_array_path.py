@@ -12,10 +12,13 @@ from oddseq import (
     count_p_composites,
     count_p_composites_classic,
     count_three_composites,
+    counting,
+    element_at,
     nth_root_floor,
     pi_of,
 )
 from oddseq.errors import ResourceLimitError
+from oddseq.oracle import SieveTable
 
 N_MAX = 3000
 
@@ -118,6 +121,43 @@ def test_int_indices_share_element_at_domain(name):
             fn(n)
     with pytest.raises(ValueError):
         fn(-1)
+
+
+# the largest array index whose element 3 + 2*n fits in int64
+ARRAY_TOP = 2**62 - 2
+ARRAY_DOMAIN_FORMS = {
+    **CLOSED_FORMS,
+    "w[formula]": lambda n: assemble_w(n, Strategy.FORMULA),
+    "element_at": element_at,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_DOMAIN_FORMS))
+def test_arrays_share_the_int64_element_domain(name, monkeypatch):
+    fn = ARRAY_DOMAIN_FORMS[name]
+    with pytest.raises(OverflowError, match="exceeds int64 range"):
+        fn(np.array([0, ARRAY_TOP + 1], dtype=np.int64))
+    # kkl would sum about 1e6 terms at the top (seconds): a lower cap
+    # refuses it at once, after the index check has passed
+    monkeypatch.setattr(counting, "MAX_K_TERMS", 10**6)
+    try:
+        got = fn(np.array([0, ARRAY_TOP], dtype=np.int64))
+    except ResourceLimitError:
+        return
+    assert got.tolist() == [fn(0), fn(ARRAY_TOP)]
+
+
+def test_kpow_refuses_an_exponent_below_one():
+    for n in (10, np.arange(3)):
+        with pytest.raises(ValueError):
+            count_kpow(0, n)
+
+
+def test_oracle_strategy_refuses_an_index_array():
+    table = SieveTable.build(1000)
+    with pytest.raises(ValueError, match=r"Strategy\.ORACLE .* for a range use"
+                       r" SieveTable\.odd_composite_count_upto"):
+        assemble_w(np.arange(5), Strategy.ORACLE, table)
 
 
 TAIL_SUM_FORMS = {

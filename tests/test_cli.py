@@ -132,6 +132,7 @@ _SINGLE_FAULT_TOKENS = [
       for token, message in _SINGLE_FAULT_TOKENS],
     (["count", "kl", "--at-n", "5", "--variant", "classic"],
      "class 'kl' has no classic variant"),
+    (["count", "kl", "--at-n", "-1"], "index must be >= 0, got -1"),
 ])
 def test_single_fault_class_tokens_keep_their_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)

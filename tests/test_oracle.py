@@ -232,6 +232,12 @@ def test_count_class_upto_holds_only_its_counts():
     assert peak < 1.1 * 8 * (n_max + 1)
 
 
+def test_counts_refuse_a_negative_index():
+    for count in (count_class, count_class_upto):
+        with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+            count(KL, -1)
+
+
 def test_power_enumerators_skip_powers_above_the_range():
     # 3**5 = 243 is the last odd fifth power at index 120; a huge exponent
     # counts nothing without building 3**j
