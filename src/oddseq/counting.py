@@ -386,7 +386,7 @@ def pi_of(
     u = floor_element(x)  # odd and >= 3: its index needs no check
     n = (u - 3) // 2
     m_n = n + 1
-    if strategy is Strategy.ORACLE:
+    if name == "oracle":
         if table is None or table.limit < u:
             # element_at refuses a u past 64 bits before the sieve cap does
             table = SieveTable.build(element_at(n))

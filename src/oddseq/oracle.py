@@ -4,7 +4,7 @@ Everything here is deliberately brute force and shares no arithmetic with
 the closed-form counters it validates.  The sieve is bit-packed (one bit
 per odd number) and built segment by segment, so the only full-size
 array is the packed bitmap.  Prime-rank queries read a cumulative count
-per 512-odd block and popcount the rest of the block.
+per 64-odd word and popcount that one word.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ class SieveTable:
     def __init__(self, limit: int, packed: np.ndarray):
         self.limit = limit
         self.packed = packed
-        self._block_rank = None  # built by the first rank query
+        self._rank = None  # built by the first rank query
 
     @classmethod
     def build(cls, limit: int) -> "SieveTable":
@@ -105,24 +105,31 @@ class SieveTable:
         i = (u - 3) // 2
         return bool((self.packed[i >> 3] >> (i & 7)) & 1)
 
-    def _build_block_rank(self) -> None:
-        """Odd primes before each block of 512 odds (64 packed bytes)."""
-        n_blocks = len(self.packed) // 64  # a partial last block needs no sum
-        words = self.packed[: 64 * n_blocks].view(np.uint64)
-        sums = np.bitwise_count(words).reshape(-1, 8).sum(axis=1, dtype=np.int64)
-        rank = np.concatenate(([0], np.cumsum(sums)))
-        # memoryviews index to Python ints and slice without copying
-        self._bytes = memoryview(self.packed)
-        self._block_rank = memoryview(rank)
+    def _build_rank(self) -> None:
+        """Odd primes before each word of 64 odds (8 packed bytes)."""
+        n_words = len(self.packed) // 8
+        words = self.packed[: 8 * n_words].view(np.uint64)
+        # a count never exceeds the bitmap's bits; uint32 holds that below 2**32
+        dtype = np.uint32 if 8 * len(self.packed) < 2**32 else np.uint64
+        rank = np.zeros(n_words + 1, dtype)
+        rank[1:] = np.bitwise_count(words)
+        np.cumsum(rank, out=rank)  # in place: no full-size temporary
+        # a partial last word, read bytewise once
+        self._last_word = int.from_bytes(self.packed[8 * n_words :], "little")
+        # memoryviews index to Python ints
+        self._words = memoryview(words)
+        self._rank = memoryview(rank)
 
     def _odd_prime_rank(self, i: int) -> int:
         """Number of odd primes among the odds 3 .. 3+2*i."""
-        if self._block_rank is None:
-            self._build_block_rank()
-        block = i >> 9
-        bits = int.from_bytes(self._bytes[block << 6 : (i >> 3) + 1], "little")
-        tail = bits & ((2 << (i & 511)) - 1)
-        return self._block_rank[block] + tail.bit_count()
+        if self._rank is None:
+            self._build_rank()
+        w = i >> 6
+        try:
+            word = self._words[w]
+        except IndexError:  # i lies in the partial last word
+            word = self._last_word
+        return self._rank[w] + (word & ((2 << (i & 63)) - 1)).bit_count()
 
     def prime_count(self, x: float | int) -> int:
         """Exact number of primes <= x."""

@@ -35,9 +35,13 @@ def check_index(n) -> None:
     """Raise unless index n, or each entry of an int64 array n, is in the domain.
 
     The domain is n >= 0 (ValueError) with an element 3 + 2*n that fits
-    in 64 bits for an int and in int64 for an array (OverflowError).
+    in 64 bits for an int and in int64 for an array (OverflowError).  An
+    array of any other dtype is refused (ValueError): narrower ints wrap
+    and floats or bools give no exact count.
     """
     if isinstance(n, np.ndarray):
+        if n.dtype != np.int64:
+            raise ValueError(f"index array must be int64, got {n.dtype}")
         low, high = int(n.min(initial=0)), int(n.max(initial=0))
         top, bits = (2**63 - 1 - 3) // 2, "int64"
     else:

@@ -147,6 +147,16 @@ def test_arrays_share_the_int64_element_domain(name, monkeypatch):
     assert got.tolist() == [fn(0), fn(ARRAY_TOP)]
 
 
+@pytest.mark.parametrize("name", sorted(ARRAY_DOMAIN_FORMS))
+def test_arrays_of_another_dtype_are_refused(name):
+    # int8 and int32 elements wrap, float and bool give no exact count
+    for dtype in (np.int8, np.int32, np.uint64, np.float64, bool):
+        index = np.array([0, 100], dtype=dtype)
+        with pytest.raises(ValueError,
+                           match=f"must be int64, got {index.dtype}$"):
+            ARRAY_DOMAIN_FORMS[name](index)
+
+
 def test_kpow_refuses_an_exponent_below_one():
     for n in (10, np.arange(3)):
         with pytest.raises(ValueError):

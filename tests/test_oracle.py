@@ -81,7 +81,7 @@ def test_prime_count_matches_trial_division_at_random_points(table):
 
 
 def test_block_rank_path_agrees_with_dense():
-    # a table of many sieve segments and rank blocks against a one-segment one
+    # a table of many sieve segments and rank words against a one-segment one
     big = SieveTable.build(17_000_000)
     assert big.prime_count(10**6) == 78498
     assert big.prime_count(10**7) == 664579
@@ -357,7 +357,7 @@ def test_factorize_rejects_below_two():
         factorize_ascending(1)
 
 
-# -- segmented sieve and block rank against a plain sieve -------------------
+# -- segmented sieve and word rank against a plain sieve --------------------
 
 
 def plain_odd_sieve(limit):
@@ -414,24 +414,43 @@ def check_ranks(table, rank, indices):
             assert pi_of(u + 1, Strategy.ORACLE, table).pi == 1 + rank[i], u + 1
 
 
-def test_odd_composite_count_upto_matches_the_scalar(multi_segment):
+# limits whose bitmap is 16 whole words (128 bytes) or 1-7 bytes past them,
+# ending on a byte edge or 3 odds short of one
+WORD_EDGE_LIMITS = [
+    2 * (64 * 16 + 8 * extra - short) + 1
+    for extra in range(8)
+    for short in (0, 3)
+]
+
+
+def test_odd_composite_count_upto_matches_the_scalar(multi_segment, tmp_path):
     table, rank = multi_segment
     n_max = len(rank) - 1
     counts = table.odd_composite_count_upto(n_max)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, np.arange(1, n_max + 2) - rank)
-    # across the first 512-odd block edge and the segment edge, and sampled
+    # across the word edge at 512 odds and the segment edge, and sampled
     sampled = np.random.default_rng(11).integers(0, n_max + 1, 200).tolist()
     for n in [510, 511, 512, 513, SEGMENT - 1, SEGMENT, n_max, *sampled]:
         assert counts[n] == table.odd_composite_count(3 + 2 * n), n
     assert np.array_equal(table.odd_composite_count_upto(600), counts[:601])
-    for limit in (3, 10, 1030, 1031):  # the bitmap ends inside a byte
+    # the bitmap ends inside a byte, or on or past a word edge
+    for limit in (3, 10, 1030, 1031, *WORD_EDGE_LIMITS):
         small = SieveTable.build(limit)
         top = (limit - 3) // 2
         assert small.odd_composite_count_upto(top).tolist() == [
             small.odd_composite_count(3 + 2 * n) for n in range(top + 1)]
         with pytest.raises(ValueError, match="outside sieve range"):
             small.odd_composite_count_upto(top + 1)
+        if limit in WORD_EDGE_LIMITS:
+            assert 128 <= len(small.packed) < 136
+            path = tmp_path / f"{limit}.odsq"
+            path.write_bytes(struct.pack("<4sQ", b"ODSQ", limit)
+                             + plain_packed(limit).tobytes())
+            last_two_words = range(64 * (top // 64 - 1), top + 1)
+            plain_rank = np.cumsum(plain_odd_sieve(limit))
+            for t in (small, SieveTable.load(path)):
+                check_ranks(t, plain_rank, last_two_words)
     with pytest.raises(ValueError, match="outside sieve range"):
         table.odd_composite_count_upto(-1)
 
@@ -440,7 +459,7 @@ def test_ranks_at_every_block_edge(multi_segment):
     table, rank = multi_segment
     n_odds = len(rank)
     edges = {
-        i for e in range(0, n_odds + 512, 512)
+        i for e in range(0, n_odds + 64, 64)
         for i in (e - 1, e, e + 1) if 0 <= i < n_odds
     }
     check_ranks(table, rank, sorted(edges | {n_odds - 1}))  # and the last odd
