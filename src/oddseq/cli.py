@@ -144,30 +144,29 @@ def _cmd_pi(args) -> int:
 # -- count ----------------------------------------------------------------
 
 
-def _has_classic(pattern: oracle.CompositePattern) -> bool:
-    return pattern.kind == "kkl" or (
-        pattern.kind == "p" and pattern.param in pcomposites.CLASSIC_PRIMES)
+def _forms(token: str):
+    """A class token's pattern and closed forms, {"exact": f, "classic": g}.
 
-
-def _eval_class(token: str, variant: str, n):
-    """A class's closed form at index n, or at every index of an array n."""
+    Each form counts up to an index or an int64 index array; only kkl and
+    the p: classes in CLASSIC_PRIMES have a classic one.  The counters
+    are read from their modules per call, so a replaced one is used.
+    """
     pattern = oracle.CompositePattern.parse(token)
-    kind, classic = pattern.kind, variant == "classic"
-    if classic and not _has_classic(pattern):
-        raise ValueError(f"class {token!r} has no classic variant")
-    if kind == "3":
-        return pcomposites.count_three_composites(n)
-    if kind == "p":
-        if classic:
-            return pcomposites.count_p_composites_classic(pattern.param, n)
-        return pcomposites.count_p_composites(pattern.param, n)
-    if kind == "kl":
-        return counting.count_kl(n)
-    if kind == "kkl":
-        return counting.count_kkl_classic(n) if classic else counting.count_kkl(n)
-    if kind == "kpow":
-        return counting.count_kpow(pattern.param, n)
-    raise ValueError(f"unknown class {token!r}")
+    q = pattern.param
+    forms = {
+        "3": {"exact": lambda n: pcomposites.count_three_composites(n)},
+        "p": {"exact": lambda n: pcomposites.count_p_composites(q, n),
+              "classic": lambda n: pcomposites.count_p_composites_classic(q, n)},
+        "kl": {"exact": lambda n: counting.count_kl(n)},
+        "kkl": {"exact": lambda n: counting.count_kkl(n),
+                "classic": lambda n: counting.count_kkl_classic(n)},
+        "kpow": {"exact": lambda n: counting.count_kpow(q, n)},
+    }.get(pattern.kind)
+    if forms is None:
+        raise ValueError(f"unknown class {token!r}")
+    if pattern.kind == "p" and q not in pcomposites.CLASSIC_PRIMES:
+        del forms["classic"]
+    return pattern, forms
 
 
 def _cmd_count(args) -> int:
@@ -176,11 +175,14 @@ def _cmd_count(args) -> int:
     n = args.at_n
     if n is None:
         n = sequences.index_of(sequences.floor_element(args.at_x))
+    _, forms = _forms(token)
+    # a class without a classic form is refused before any arithmetic
+    if args.variant != "exact" and "classic" not in forms:
+        raise ValueError(f"class {token!r} has no classic variant")
 
     if args.variant == "both":
-        # classic first: a class without one is refused before any arithmetic
-        classic = _eval_class(token, "classic", n)
-        exact = _eval_class(token, "exact", n)
+        classic = forms["classic"](n)
+        exact = forms["exact"](n)
         data = {
             "class": token,
             "n": n,
@@ -190,7 +192,7 @@ def _cmd_count(args) -> int:
         }
         lines = (f"{key} = {data[key]}" for key in ("exact", "classic", "delta"))
     else:
-        value = _eval_class(token, args.variant, n)
+        value = forms[args.variant](n)
         data = {"class": token, "variant": args.variant, "n": n, "count": value}
         lines = _spaced([value])
     _render(args.format, data, list(data), [list(data.values())], lines)
@@ -246,13 +248,12 @@ def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
     passed in.
     """
     n = np.arange(n_max + 1, dtype=np.int64)
-    # every token is read before any work; w counts from the sieve
-    patterns = {t: oracle.CompositePattern.parse(t) for t in tokens if t != "w"}
-    classic = {t for t, pattern in patterns.items() if _has_classic(pattern)}
+    # every token is resolved before any work; w counts from the sieve
+    resolved = {t: _forms(t) for t in tokens if t != "w"}
 
     def check(token: str, form: str, got: np.ndarray):
         want = (table.odd_composite_count_upto(n_max) if token == "w"
-                else oracle.count_class_upto(patterns[token], n_max))
+                else oracle.count_class_upto(resolved[token][0], n_max))
         diff = np.flatnonzero(got != want)
         label = f"{token}[{'formula' if token == 'w' else form}]"
         found = [
@@ -283,18 +284,17 @@ def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
         w = np.zeros_like(n)
         for name, count, weight in counting._w_formula_terms(n):
             w += weight * count
-            if name in tokens:
+            if name in resolved:
                 checked[name, "exact"] = check(name, "exact", count)
         checked["w", "exact"] = check("w", "exact", w)
 
     summaries, rows = [], []
     for token in tokens:
-        forms = [] if variant == "classic" else ["exact"]
-        if variant != "exact" and token in classic:
-            forms.append("classic")
-        for form in forms:
+        # w has one form, checked above with its terms
+        forms = resolved[token][1] if token != "w" else {"exact": None}
+        for form in [f for f in forms if variant in (f, "both")]:
             summary, found = checked.get((token, form)) or check(
-                token, form, _eval_class(token, form, n))
+                token, form, forms[form](n))
             summaries.append(summary)
             rows += found
     return summaries, rows

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ResourceLimitError
-from .sequences import _is_odd_prime, element_at
+from .sequences import _is_odd_prime, _least_factor, element_at
 
 MAGIC = b"ODSQ"
 _HEADER = struct.Struct("<4sQ")  # magic, u64 limit
@@ -228,7 +228,7 @@ class CompositePattern:
                 raise ValueError(f"counter needs an odd prime >= 5, got {q}")
             # _is_odd_prime refuses a q whose square leaves 64 bits
             if not _is_odd_prime(q):
-                d = factorize_ascending(q).factors[0][0]
+                d = _least_factor(q)
                 raise ValueError(f"counter needs a prime, got {q} = {d}*{q // d}")
         elif self.kind == "kpow" and self.param < 1:
             raise ValueError(f"exponent must be >= 1, got {self.param}")
@@ -377,22 +377,10 @@ def factorize_ascending(u: int) -> AscendingFactorization:
         raise ValueError(f"need an integer >= 2, got {u}")
     factors = []
     rest = u
-    for d in (2, 3):
-        m = 0
+    while rest > 1:
+        d, m = _least_factor(rest), 0
         while rest % d == 0:
             rest //= d
             m += 1
-        if m:
-            factors.append((d, m))
-    d = 5
-    while d * d <= rest:
-        m = 0
-        while rest % d == 0:
-            rest //= d
-            m += 1
-        if m:
-            factors.append((d, m))
-        d += 2
-    if rest > 1:
-        factors.append((rest, 1))
+        factors.append((d, m))
     return AscendingFactorization(tuple(factors))

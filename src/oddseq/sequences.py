@@ -35,18 +35,22 @@ def check_index(n) -> None:
     """Raise unless index n, or each entry of an int64 array n, is in the domain.
 
     The domain is n >= 0 (ValueError) with an element 3 + 2*n that fits
-    in 64 bits for an int and in int64 for an array (OverflowError).  An
-    array of any other dtype is refused (ValueError): narrower ints wrap
-    and floats or bools give no exact count.
+    in 64 bits for an int and in int64 for an array (OverflowError).  Any
+    other index is refused (ValueError): a float, a bool, a numpy scalar
+    or an array of another dtype, since narrower ints and numpy scalars
+    wrap and floats or bools give no exact count.
     """
     if isinstance(n, np.ndarray):
         if n.dtype != np.int64:
             raise ValueError(f"index array must be int64, got {n.dtype}")
         low, high = int(n.min(initial=0)), int(n.max(initial=0))
         top, bits = (2**63 - 1 - 3) // 2, "int64"
-    else:
+    elif type(n) is int:
         low = high = n
         top, bits = (U64_MAX - 3) // 2, "64-bit"
+    else:
+        raise ValueError("index must be an int or an int64 array,"
+                         f" got {type(n).__name__}")
     if low < 0:
         raise ValueError(f"index must be >= 0, got {low}")
     if high > top:
@@ -82,16 +86,23 @@ def count_elements(x: float | int) -> int:
     return index_of(floor_element(x)) + 1
 
 
+def _least_factor(u: int) -> int:
+    """The least prime factor of u >= 2, by trial division: u when prime."""
+    if u % 2 == 0:
+        return 2
+    for d in range(3, math.isqrt(u) + 1, 2):
+        if u % d == 0:
+            return d
+    return u
+
+
 def _is_odd_prime(p: int) -> bool:
     """Trial division, refused (OverflowError) when p*p leaves 64 bits."""
     if p < 3 or p % 2 == 0:
         return False
     if p * p > U64_MAX:
         raise OverflowError(f"p*p exceeds 64-bit range for p = {p}")
-    for d in range(3, math.isqrt(p) + 1, 2):
-        if p % d == 0:
-            return False
-    return True
+    return _least_factor(p) == p
 
 
 @dataclass(frozen=True)

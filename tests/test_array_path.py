@@ -155,6 +155,12 @@ def test_arrays_of_another_dtype_are_refused(name):
         with pytest.raises(ValueError,
                            match=f"must be int64, got {index.dtype}$"):
             ARRAY_DOMAIN_FORMS[name](index)
+    # so do scalars: numpy ints wrap (np.int64(2**62) gave a negative
+    # element), 10.5 gave a float and True a count
+    for index in (10.5, True, np.int64(5), np.int32(5)):
+        with pytest.raises(ValueError, match="must be an int or an int64 array,"
+                           f" got {type(index).__name__}$"):
+            ARRAY_DOMAIN_FORMS[name](index)
 
 
 def test_kpow_refuses_an_exponent_below_one():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddseq import cli, counting
+from oddseq import cli, counting, oracle
 
 
 def run(capsys, *argv):
@@ -133,10 +133,24 @@ _SINGLE_FAULT_TOKENS = [
     (["count", "kl", "--at-n", "5", "--variant", "classic"],
      "class 'kl' has no classic variant"),
     (["count", "kl", "--at-n", "-1"], "index must be >= 0, got -1"),
+    # multi:<r> has no closed form, though w's terms hold multi:3 at 200
+    *[(["verify", "--classes", classes, "--max-n", n_max],
+       "unknown class 'multi:3'")
+      for classes in ("w,multi:3", "multi:3,w") for n_max in ("10", "200")],
 ])
-def test_single_fault_class_tokens_keep_their_message(capsys, argv, message):
+def test_single_fault_class_tokens_keep_their_message(
+        capsys, monkeypatch, tmp_path, argv, message):
+    # a token is refused before any sieve is built or the cache touched
+    path = tmp_path / "sieve.odsq"
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve built to {limit}")
+
+    monkeypatch.setattr(oracle.SieveTable, "build", no_sieve)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("variant", ["exact", "classic", "both"])
@@ -307,13 +321,8 @@ def test_verify_empty_report(capsys):
 
 
 def test_verify_exit_one_on_exact_mismatch(capsys, monkeypatch):
-    real = cli._eval_class
-
-    def broken(token, variant, n):
-        value = real(token, variant, n)
-        return value + 1 if token == "kl" else value
-
-    monkeypatch.setattr(cli, "_eval_class", broken)
+    real = counting.count_kl
+    monkeypatch.setattr(counting, "count_kl", lambda n: real(n) + 1)
     code, out, _ = run(capsys, "verify", "--classes", "kl", "--max-n", "50")
     assert code == 1
     assert "FAIL" in out and "result: MISMATCH" in out
