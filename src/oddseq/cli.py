@@ -304,6 +304,9 @@ def _cmd_verify(args) -> int:
     tokens = [tok.strip() for tok in args.classes.split(",") if tok.strip()]
     n_max = args.max_n
     summaries, rows = _verify(tokens, args.variant, n_max, args.max_rows)
+    if not summaries:  # nothing was computed, nor a sieve fetched
+        raise ValueError(f"--classes {args.classes!r} with --variant"
+                         f" {args.variant} checks nothing")
     ok = not any(s["mismatches"] and not s["informational"] for s in summaries)
 
     def lines():

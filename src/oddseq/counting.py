@@ -218,7 +218,7 @@ def _count_distinct_prime_products(r: int, u, primes: list[int]):
     up to at least max(u) // 3**(r - 1) + 1.
     """
     top = _largest(u)
-    primes = _primes_upto(primes, top // max(3 ** (r - 1), 1) + 1)
+    primes = _primes_upto(primes, top // 3 ** (r - 1) + 1)
     slices: list[tuple[int, int, int]] = []
 
     def descend(start: int, remaining: int, product: int) -> None:

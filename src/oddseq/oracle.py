@@ -95,14 +95,17 @@ class SieveTable:
 
     # -- queries ---------------------------------------------------------
 
-    def is_prime(self, u: int) -> bool:
-        if u < 2 or u > self.limit:
-            raise ValueError(f"{u} outside sieve range [2, {self.limit}]")
-        if u == 2:
-            return True
-        if u % 2 == 0:
-            return False
-        i = (u - 3) // 2
+    def _index(self, x: float | int, low: int) -> int:
+        """Index (u - 3) // 2 of the largest odd u <= x, for x in [low, limit]."""
+        # any real x: compared before it is floored, so nan and inf are refused
+        if not low <= x < self.limit + 1:
+            raise ValueError(f"{x} outside sieve range [{low}, {self.limit}]")
+        return (math.floor(x) - 3) // 2
+
+    def is_prime(self, u: float | int) -> bool:
+        i = self._index(u, 2)
+        if u != 3 + 2 * i:  # 2, or an even or fractional u
+            return bool(u == 2)
         return bool((self.packed[i >> 3] >> (i & 7)) & 1)
 
     def _build_rank(self) -> None:
@@ -133,12 +136,8 @@ class SieveTable:
 
     def prime_count(self, x: float | int) -> int:
         """Exact number of primes <= x."""
-        if x < 2 or x > self.limit:
-            raise ValueError(f"{x} outside sieve range [2, {self.limit}]")
-        if x < 3:
-            return 1
-        # an even x has the index of x - 1
-        return 1 + self._odd_prime_rank((int(x) - 3) // 2)
+        i = self._index(x, 2)
+        return 1 + self._odd_prime_rank(i) if i >= 0 else 1
 
     def odd_composite_count(self, u: int) -> int:
         """Number of composite odd numbers in [3, u]."""
@@ -149,18 +148,13 @@ class SieveTable:
 
     def odd_composite_count_upto(self, n_max: int) -> np.ndarray:
         """odd_composite_count(3 + 2*n) for every index n in 0..n_max."""
-        u = 3 + 2 * n_max
-        if not 3 <= u <= self.limit:
-            raise ValueError(f"{u} outside sieve range [3, {self.limit}]")
-        primes = np.unpackbits(self.packed, count=n_max + 1, bitorder="little")
+        n = self._index(3 + 2 * n_max, 3)
+        primes = np.unpackbits(self.packed, count=n + 1, bitorder="little")
         return np.cumsum(1 - primes, dtype=np.int64)
 
-    def primes(self, upto: int | None = None) -> np.ndarray:
+    def primes(self, upto: float | int | None = None) -> np.ndarray:
         """All primes <= upto (default: the sieve limit), ascending."""
-        hi = self.limit if upto is None else min(upto, self.limit)
-        if hi < 2:
-            return np.empty(0, dtype=np.int64)
-        n = (hi - 1) // 2
+        n = 1 + self._index(self.limit if upto is None else upto, 2)
         bits = np.unpackbits(self.packed, count=n, bitorder="little")
         odds = 3 + 2 * np.flatnonzero(bits).astype(np.int64)
         return np.concatenate([[2], odds])

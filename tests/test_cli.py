@@ -137,6 +137,13 @@ _SINGLE_FAULT_TOKENS = [
     *[(["verify", "--classes", classes, "--max-n", n_max],
        "unknown class 'multi:3'")
       for classes in ("w,multi:3", "multi:3,w") for n_max in ("10", "200")],
+    # a request that checks nothing is refused, not reported OK
+    *[(["verify", "--classes", classes],
+       f"--classes {classes!r} with --variant exact checks nothing")
+      for classes in ("", ",")],
+    *[(["verify", "--classes", classes, "--variant", "classic"],
+       f"--classes {classes!r} with --variant classic checks nothing")
+      for classes in ("w", "kl,w")],
 ])
 def test_single_fault_class_tokens_keep_their_message(
         capsys, monkeypatch, tmp_path, argv, message):

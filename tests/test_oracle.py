@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -483,6 +484,77 @@ def test_loaded_table_answers_as_built(multi_segment, tmp_path):
     rng = np.random.default_rng(3)
     indices = sorted(int(i) for i in rng.integers(0, len(rank), size=2000))
     check_ranks(loaded, rank, indices + [0, len(rank) - 1])
+
+
+# a bitmap of one whole 64-odd word, one odd past it, two past, and 7.8 words
+QUERY_LIMITS = (129, 131, 133, 1000)
+
+
+def built_and_loaded(limit, tmp_path):
+    path = tmp_path / f"{limit}.odsq"
+    built = SieveTable.build(limit)
+    built.dump(path)
+    return built, SieveTable.load(path)
+
+
+@pytest.mark.parametrize("limit", QUERY_LIMITS)
+def test_every_query_matches_a_plain_sieve(limit, tmp_path):
+    bits = plain_odd_sieve(limit)
+    plain = np.concatenate([[2], 3 + 2 * np.flatnonzero(bits)])
+    integers = range(2, limit + 1)
+    plain_set = set(plain.tolist())
+    for table in built_and_loaded(limit, tmp_path):
+        is_prime = [table.is_prime(k) for k in integers]
+        assert is_prime == [k in plain_set for k in integers]
+        primes_upto = np.cumsum(is_prime)  # primes <= k, from is_prime alone
+        # a half-step grid; limit + 0.5 floors into range
+        for x in np.arange(2, limit + 1, 0.5).tolist():
+            want = int(np.searchsorted(plain, x, side="right"))
+            assert table.prime_count(x) == want, x
+            assert table.primes(x).tolist() == plain[:want].tolist(), x
+            assert primes_upto[math.floor(x) - 2] == want, x
+            if x % 1:
+                assert table.is_prime(x) is False, x
+        for u in range(3, limit + 1):
+            odd_primes = int(np.searchsorted(plain, u, side="right")) - 1
+            # (u - 1) // 2 odd numbers in [3, u]
+            assert table.odd_composite_count(u) == (u - 1) // 2 - odd_primes, u
+        top = (limit - 3) // 2
+        assert (table.odd_composite_count_upto(top).tolist()
+                == (np.arange(1, top + 2) - np.cumsum(bits)).tolist())
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.float64])
+def test_queries_read_numpy_values_as_python_values(kind, tmp_path):
+    for table in built_and_loaded(1000, tmp_path):
+        for x in (2, 3, 4, 129, 131, 997, 999, 1000):
+            count = table.prime_count(kind(x))
+            assert type(count) is int and count == table.prime_count(x)
+            prime = table.is_prime(kind(x))
+            assert type(prime) is bool and prime == table.is_prime(x)
+            assert table.primes(kind(x)).tolist() == table.primes(x).tolist()
+        for n in (0, 63, 64, 498):
+            assert (table.odd_composite_count_upto(kind(n)).tolist()
+                    == table.odd_composite_count_upto(n).tolist())
+
+
+@pytest.mark.parametrize("limit", QUERY_LIMITS)
+def test_every_query_refuses_values_outside_its_range(limit, tmp_path):
+    def refuses(query, value, shown, low):
+        message = f"{shown} outside sieve range [{low}, {limit}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            query(value)
+
+    top = (limit - 3) // 2
+    for table in built_and_loaded(limit, tmp_path):
+        for query in (table.is_prime, table.prime_count, table.primes):
+            for x in (1, limit + 1, math.nan, math.inf, -math.inf):
+                refuses(query, x, x, 2)
+        for u in (2, limit + 1):
+            refuses(table.odd_composite_count, u, u, 3)
+        # the index's element is checked: 3 + 2*n for n = -1 and top + 1
+        for n in (-1, top + 1, math.nan, math.inf):
+            refuses(table.odd_composite_count_upto, n, 3 + 2 * n, 3)
 
 
 def _tuples_by_divisors(pattern, v, divisors, is_prime):
