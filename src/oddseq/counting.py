@@ -180,9 +180,25 @@ def _count_power_pairs(j: int, u):
     return _tail_sum(u, ((k ** (j + 1), 2 * k**j) for k in ks), 1)
 
 
-def _primes_upto(primes: list[int], limit: int) -> list[int]:
-    """The prefix of an ascending prime list that is <= limit."""
-    return primes[: bisect.bisect_right(primes, limit)]
+def _prime_prefixes(
+    primes: list[int], size: int, top: int
+) -> list[tuple[int, int]]:
+    """(product, i) for each ascending run of size primes, ending at
+    primes[i], that a factor >= primes[i] can still follow within top.
+
+    Each level grows the runs by one prime and stops at the first prime
+    whose power, standing in for the primes still to come, passes top.
+    """
+    runs = [(1, -1)]
+    for left in range(size + 1, 1, -1):
+        grown = []
+        for product, last in runs:
+            for i in range(last + 1, len(primes)):
+                if product * primes[i] ** left > top:
+                    break
+                grown.append((product * primes[i], i))
+        runs = grown
+    return runs
 
 
 def _count_two_prime_cofactor(u, primes: list[int]):
@@ -191,48 +207,24 @@ def _count_two_prime_cofactor(u, primes: list[int]):
     primes is an ascending list of the odd primes up to at least
     isqrt(max(u) // 3) + 1.
     """
-    top = _largest(u)
-    primes = _primes_upto(primes, math.isqrt(top // 3) + 1)
-
-    def terms():
-        for i, k1 in enumerate(primes):
-            if k1 * (k1 + 2) ** 2 > top:
-                break
-            for k2 in primes[i + 1 :]:
-                first = k1 * k2 * k2
-                if first > top:
-                    break
-                # l = k2, k2 + 2, ...: the product steps by 2 * k1 * k2
-                yield first, 2 * k1 * k2
-
-    return _tail_sum(u, terms(), 1)
+    runs = _prime_prefixes(primes, 2, _largest(u))
+    # l = k2, k2 + 2, ...: the product starts at k1*k2*k2, steps by 2*k1*k2
+    return _tail_sum(u, [(k1k2 * primes[i], 2 * k1k2) for k1k2, i in runs], 1)
 
 
 def _count_distinct_prime_products(r: int, u, primes: list[int]):
     """Squarefree products of r distinct odd primes <= u.
 
-    Walks the ascending prefixes of r - 1 primes that fit the largest u;
-    the last prime of each product then ranges over a slice of the prime
-    list.  An int u counts the slices; an array u reads its counts off
-    the sorted products.  primes is an ascending list of the odd primes
-    up to at least max(u) // 3**(r - 1) + 1.
+    Each ascending run of r - 1 primes that fits the largest u is followed
+    by a last prime from a slice of the prime list.  An int u counts the
+    slices; an array u reads its counts off the sorted products.  primes
+    is an ascending list of the odd primes up to at least
+    max(u) // 3**(r - 1) + 1.
     """
     top = _largest(u)
-    primes = _primes_upto(primes, top // 3 ** (r - 1) + 1)
-    slices: list[tuple[int, int, int]] = []
-
-    def descend(start: int, remaining: int, product: int) -> None:
-        if remaining == 1:
-            end = bisect.bisect_right(primes, top // product)
-            slices.append((product, start, end))
-            return
-        for i in range(start, len(primes)):
-            p = primes[i]
-            if product * p**remaining > top:
-                break
-            descend(i + 1, remaining - 1, product * p)
-
-    descend(0, r, 1)
+    primes = primes[: bisect.bisect_right(primes, top // 3 ** (r - 1) + 1)]
+    slices = [(product, i + 1, bisect.bisect_right(primes, top // product))
+              for product, i in _prime_prefixes(primes, r - 1, top)]
     if not isinstance(u, np.ndarray):
         return sum(end - start for _, start, end in slices)
     last = np.asarray(primes, dtype=np.int64)
@@ -260,11 +252,9 @@ def _w_formula_terms(n):
             f"formula element {top} exceeds cap {DEFAULT_MAX_LIMIT}"
         )
     # one sieve for every prime list below: multi:3 needs the longest
-    # (to top / 9), two_prime_l one to sqrt(top / 3), and the first r
-    # primes that bound the multi:r loop are among those up to 64
-    primes = _odd_primes_upto(
-        max(top // 9 + 1, math.isqrt(top // 3) + 1, 64)
-    )
+    # (to top / 9, past two_prime_l's sqrt(top / 3) from top = 27 on),
+    # and the first r primes that bound the multi:r loop are below 64
+    primes = _odd_primes_upto(max(top // 9 + 1, 64))
     yield "kl", count_kl(n), 1
 
     j = 2
@@ -279,13 +269,10 @@ def _w_formula_terms(n):
     yield "two_prime_l", _count_two_prime_cofactor(u, primes), -1
 
     r = 3
-    min_r_product = 3 * 5 * 7
-    # under the cap the product of the first 9 odd primes already exceeds
-    # top, so primes[r - 1] never runs past the primes up to 64
-    while min_r_product <= top:
+    # under the cap the first 9 odd primes, all below 64, multiply past top
+    while math.prod(primes[:r]) <= top:
         yield f"multi:{r}", _count_distinct_prime_products(r, u, primes), 1 - r
         r += 1
-        min_r_product *= primes[r - 1]
 
 
 def assemble_w(

@@ -26,6 +26,8 @@ _HEADER = struct.Struct("<4sQ")  # magic, u64 limit
 DEFAULT_MAX_LIMIT = 10**8
 
 _SEGMENT_ODDS = 2**20  # odds sieved at a time: a 1 MB bool buffer
+# the bits 0..b of a 64-odd word, as Python ints: a numpy index masks exactly
+_LOW_BITS = tuple((2 << b) - 1 for b in range(64))
 
 
 def _sieve_segment(segment: np.ndarray, lo: int, primes) -> np.ndarray:
@@ -82,7 +84,7 @@ class SieveTable:
             raise ResourceLimitError(
                 f"sieve limit {limit} exceeds cap {DEFAULT_MAX_LIMIT}"
             )
-        n_odds = (limit - 1) // 2 if limit >= 3 else 0
+        n_odds = (limit - 1) // 2
         primes = _odd_primes_upto(math.isqrt(limit))
         packed = np.empty((n_odds + 7) // 8, dtype=np.uint8)
         buffer = np.empty(min(n_odds, _SEGMENT_ODDS), dtype=bool)
@@ -132,7 +134,7 @@ class SieveTable:
             word = self._words[w]
         except IndexError:  # i lies in the partial last word
             word = self._last_word
-        return self._rank[w] + (word & ((2 << (i & 63)) - 1)).bit_count()
+        return self._rank[w] + (word & _LOW_BITS[i & 63]).bit_count()
 
     def prime_count(self, x: float | int) -> int:
         """Exact number of primes <= x."""

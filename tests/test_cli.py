@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -655,3 +659,22 @@ def test_cli_fuzz_keeps_the_exit_code_contract(command, tokens):
         code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def run_module(*argv):
+    """The CLI as a process: `python -m oddseq.cli` on this checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    env.pop("ODSQ_SIEVE_CACHE", None)
+    return subprocess.run([sys.executable, "-m", "oddseq.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_keeps_the_exit_code_contract():
+    done = run_module("pi", "1000")
+    assert done.returncode == 0
+    assert "pi = 168" in done.stdout.splitlines()
+    done = run_module("pi", "1e9")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: sieve limit 1000000000 exceeds cap 100000000"]

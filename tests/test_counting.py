@@ -18,12 +18,13 @@ from oddseq import (
     count_kkl,
     count_kkl_classic,
     count_kpow,
+    element_at,
     index_of,
     nth_root_floor,
     pi_of,
     square_base_bound,
 )
-from oddseq.oracle import KKL, KL, SieveTable, kpow
+from oddseq.oracle import KKL, KL, SieveTable, _odd_primes_upto, kpow, multi
 
 
 def test_square_base_bound_values():
@@ -344,3 +345,38 @@ def test_assemble_w_oracle_is_the_w_n_of_pi_of(table):
         w = assemble_w(n, Strategy.ORACLE, table)
         assert w == table.odd_composite_count(u) == pi_of(
             u, Strategy.ORACLE, table).w_n, n
+
+
+SWEEP_N = 10**5
+SAMPLED_N = (0, 51, 52, 498, 4_999, 31_337, SWEEP_N)
+
+
+def test_distinct_prime_products_match_the_multi_enumerator():
+    u = element_at(np.arange(SWEEP_N + 1))
+    primes = _odd_primes_upto(int(u[-1]) // 3 + 1)
+    for r in range(2, 7):
+        counts = counting._count_distinct_prime_products(r, u, primes)
+        assert counts.tolist() == count_class_upto(multi(r), SWEEP_N).tolist()
+        for n in SAMPLED_N:
+            one = counting._count_distinct_prime_products(r, int(u[n]), primes)
+            assert one == counts[n], (r, n)
+
+
+def test_two_prime_cofactor_matches_its_triples():
+    u = element_at(np.arange(SWEEP_N + 1))
+    top = int(u[-1])
+    primes = _odd_primes_upto(top // 9 + 1)
+    # every triple k1 < k2 odd primes, odd l >= k2, by the index of its product
+    hits = []
+    for a, k1 in enumerate(primes):
+        for k2 in primes[a + 1:]:
+            if k1 * k2 * k2 > top:
+                break
+            hits += [(k1 * k2 * l - 3) // 2
+                     for l in range(k2, top // (k1 * k2) + 1, 2)]
+    assert len(hits) == 73_609
+    want = np.cumsum(np.bincount(hits, minlength=SWEEP_N + 1))
+    counts = counting._count_two_prime_cofactor(u, primes)
+    assert counts.tolist() == want.tolist()
+    for n in SAMPLED_N:
+        assert counting._count_two_prime_cofactor(int(u[n]), primes) == want[n]

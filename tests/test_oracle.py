@@ -538,6 +538,16 @@ def test_queries_read_numpy_values_as_python_values(kind, tmp_path):
                     == table.odd_composite_count_upto(n).tolist())
 
 
+def test_odd_composite_count_reads_numpy_integers_exactly():
+    # the word mask must stay a Python int for a numpy index: a numpy int
+    # cannot hold a word of 2**63 or more (the first is u = 131's word)
+    table = SieveTable.build(10**5)
+    for u in range(3, 10**5 + 1, 2):
+        want = table.odd_composite_count(u)
+        assert table.odd_composite_count(np.int64(u)) == want, u
+        assert table.odd_composite_count(np.int32(u)) == want, u
+
+
 @pytest.mark.parametrize("limit", QUERY_LIMITS)
 def test_every_query_refuses_values_outside_its_range(limit, tmp_path):
     def refuses(query, value, shown, low):
