@@ -307,10 +307,11 @@ class PiBreakdown(namedtuple(
 
     An immutable record backed by a tuple, so that making one costs one
     tuple rather than a setattr per field.  Every way of making one (the
-    constructor, _make, _replace, pickle and copy) checks the balance,
-    and assigning or deleting an attribute raises FrozenInstanceError.
-    class_counts defaults to a fresh empty dict.  dataclasses.replace
-    and asdict do not apply; to_dict() gives a plain dict.
+    constructor, _make, _replace, pickle and copy) checks the balance;
+    _balanced, for pi_of, computes pi from it instead.  Assigning or
+    deleting an attribute raises FrozenInstanceError.  class_counts
+    defaults to a fresh empty dict.  dataclasses.replace and asdict do
+    not apply; to_dict() gives a plain dict.
     """
 
     __slots__ = ()
@@ -322,6 +323,13 @@ class PiBreakdown(namedtuple(
             class_counts = {}
         return tuple.__new__(
             cls, (x, strategy, n, m_n, w_n, m_corr, pi, class_counts)
+        )
+
+    @classmethod
+    def _balanced(cls, x, strategy, n, m_n, w_n, class_counts):
+        """The record with pi = m_n - w_n + 1: it balances by construction."""
+        return tuple.__new__(
+            cls, (x, strategy, n, m_n, w_n, 1, m_n - w_n + 1, class_counts)
         )
 
     # namedtuple's own _make and _replace call tuple.__new__ directly
@@ -368,7 +376,7 @@ def pi_of(
         strategy = Strategy(strategy)
     name = strategy._value_  # the plain str; .value is a slower property
     if x < 3:
-        return PiBreakdown(x, name, None, 0, 0, 1, 1)
+        return PiBreakdown._balanced(x, name, None, 0, 0, {})
 
     u = floor_element(x)  # odd and >= 3: its index needs no check
     n = (u - 3) // 2
@@ -377,10 +385,11 @@ def pi_of(
         if table is None or table.limit < u:
             # element_at refuses a u past 64 bits before the sieve cap does
             table = SieveTable.build(element_at(n))
-        w_n = table.odd_composite_count(u)
-        counts = None
+        # 3 <= u <= limit here, so the rank of index n needs no check
+        w_n = m_n - table.odd_prime_rank(n)
+        counts = {}
     else:
         terms = list(_w_formula_terms(n))
         counts = {term: count for term, count, _ in terms}
         w_n = sum(weight * count for _, count, weight in terms)
-    return PiBreakdown(x, name, n, m_n, w_n, 1, m_n - w_n + 1, counts)
+    return PiBreakdown._balanced(x, name, n, m_n, w_n, counts)

@@ -9,6 +9,7 @@ per 64-odd word and popcount that one word.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 import tempfile
@@ -125,8 +126,8 @@ class SieveTable:
         self._words = memoryview(words)
         self._rank = memoryview(rank)
 
-    def _odd_prime_rank(self, i: int) -> int:
-        """Number of odd primes among the odds 3 .. 3+2*i."""
+    def odd_prime_rank(self, i: int) -> int:
+        """Number of odd primes among the odds 3 .. 3+2*i (i unchecked)."""
         if self._rank is None:
             self._build_rank()
         w = i >> 6
@@ -139,14 +140,15 @@ class SieveTable:
     def prime_count(self, x: float | int) -> int:
         """Exact number of primes <= x."""
         i = self._index(x, 2)
-        return 1 + self._odd_prime_rank(i) if i >= 0 else 1
+        return 1 + self.odd_prime_rank(i) if i >= 0 else 1
 
     def odd_composite_count(self, u: int) -> int:
         """Number of composite odd numbers in [3, u]."""
         if not 3 <= u <= self.limit:
             raise ValueError(f"{u} outside sieve range [3, {self.limit}]")
-        i = (u - 3) // 2  # an even u has the index of u - 1
-        return (i + 1) - self._odd_prime_rank(i)
+        # a numpy integer counts as an int; a float is refused (TypeError)
+        i = (operator.index(u) - 3) // 2  # an even u has the index of u - 1
+        return (i + 1) - self.odd_prime_rank(i)
 
     def odd_composite_count_upto(self, n_max: int) -> np.ndarray:
         """odd_composite_count(3 + 2*n) for every index n in 0..n_max."""

@@ -191,11 +191,15 @@ TAIL_SUM_FORMS = {
     [7, 7, 7],  # duplicated, ascending
     [1154],  # one element
     [],  # empty
+    [49_999_998, 0],  # the formula cap's largest index, unordered
+    # long and unordered: the argsort branch
+    np.random.default_rng(2101).permutation(3001).tolist(),
 ])
 def test_tail_sums_on_odd_index_arrays(name, indices):
     fn = TAIL_SUM_FORMS[name]
     got = fn(np.array(indices, dtype=np.int64))
     assert isinstance(got, np.ndarray) and got.shape == (len(indices),)
+    assert got.dtype == np.int64
     assert got.tolist() == [fn(n) for n in indices]
 
 

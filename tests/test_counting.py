@@ -313,6 +313,28 @@ def test_warm_oracle_query_reads_the_table_directly(table, monkeypatch):
         assert pi_of(x, Strategy.ORACLE, table).pi == table.prime_count(x)
 
 
+@pytest.mark.parametrize("limit", [3, 4, 129, 130, 131, 257, 10**4 + 1])
+def test_pi_of_reads_every_rank_up_to_the_table_edge(limit, monkeypatch):
+    # 129, 130 and 257 end on a full 64-odd word, the rest in a partial one
+    table = SieveTable.build(limit)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a covering table is never rebuilt")
+
+    monkeypatch.setattr(SieveTable, "build", refuse)
+    for k in range(2, limit + 1):
+        for x in (k, k + 0.5):
+            b = pi_of(x, Strategy.ORACLE, table)
+            assert b.pi == table.prime_count(x), x
+            if x >= 3:
+                assert b.w_n == table.odd_composite_count(3 + 2 * b.n), x
+            assert PiBreakdown._make(b) == b, x
+    # each record gets its own empty class_counts
+    b = pi_of(limit, Strategy.ORACLE, table)
+    assert b.class_counts == {}
+    assert b.class_counts is not pi_of(limit, Strategy.ORACLE, table).class_counts
+
+
 # (x, error, its message under oracle, under formula) above the sieve cap:
 # an element past 64 bits overflows before either cap applies
 CAPPED = "18446744073709551615 exceeds cap 100000000"
