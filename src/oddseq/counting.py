@@ -25,7 +25,6 @@ tail of the sorted elements that its first value reaches (_tail_sum).
 """
 from __future__ import annotations
 
-import bisect
 import math
 from collections import namedtuple
 from dataclasses import FrozenInstanceError
@@ -34,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ResourceLimitError
-from .oracle import DEFAULT_MAX_LIMIT, SieveTable, _odd_primes_upto
+from .oracle import DEFAULT_MAX_LIMIT, SieveTable
 from .sequences import element_at, floor_element
 
 # the pair counters sum one Python term per odd k up to a root of u, at
@@ -212,24 +211,24 @@ def _count_two_prime_cofactor(u, primes: list[int]):
     return _tail_sum(u, [(k1k2 * primes[i], 2 * k1k2) for k1k2, i in runs], 1)
 
 
-def _count_distinct_prime_products(r: int, u, primes: list[int]):
+def _count_distinct_prime_products(r: int, u, primes, table: SieveTable):
     """Squarefree products of r distinct odd primes <= u.
 
-    Each ascending run of r - 1 primes that fits the largest u is followed
-    by a last prime from a slice of the prime list.  An int u counts the
-    slices; an array u reads its counts off the sorted products.  primes
-    is an ascending list of the odd primes up to at least
-    max(u) // 3**(r - 1) + 1.
+    Each ascending run of r - 1 primes that fits the largest u takes a
+    larger last prime up to max(u) // product: an int u counts these off
+    table's rank, an array u reads its counts off the sorted products.
+    primes lists the odd primes up to at least isqrt(max(u) // 3**(r - 2));
+    table reaches max(u) over the product of the r - 1 smallest of them.
     """
     top = _largest(u)
-    primes = primes[: bisect.bisect_right(primes, top // 3 ** (r - 1) + 1)]
-    slices = [(product, i + 1, bisect.bisect_right(primes, top // product))
-              for product, i in _prime_prefixes(primes, r - 1, top)]
-    if not isinstance(u, np.ndarray):
-        return sum(end - start for _, start, end in slices)
-    last = np.asarray(primes, dtype=np.int64)
+    runs = _prime_prefixes(primes, r - 1, top)
+    if not isinstance(u, np.ndarray):  # primes[i] is odd prime number i + 1
+        return sum(table.odd_prime_rank((top // product - 3) // 2) - i - 1
+                   for product, i in runs)
+    last = table.primes()[1:]
+    ends = np.searchsorted(last, [top // p for p, _ in runs], "right")
     products = [np.empty(0, dtype=np.int64)]
-    products += [product * last[start:end] for product, start, end in slices]
+    products += [p * last[i + 1 : end] for (p, i), end in zip(runs, ends)]
     return np.searchsorted(np.sort(np.concatenate(products)), u, "right")
 
 
@@ -247,14 +246,14 @@ def _w_formula_terms(n):
     u = element_at(n)
     top = _largest(u)
     if top > DEFAULT_MAX_LIMIT:
-        # the prime lists below grow with top / 9, so keep the sieve's cap
+        # the table below grows with top / 15, so keep the sieve's cap
         raise ResourceLimitError(
             f"formula element {top} exceeds cap {DEFAULT_MAX_LIMIT}"
         )
-    # one sieve for every prime list below: multi:3 needs the longest
-    # (to top / 9, past two_prime_l's sqrt(top / 3) from top = 27 on),
-    # and the first r primes that bound the multi:r loop are below 64
-    primes = _odd_primes_upto(max(top // 9 + 1, 64))
+    # the one prime source: multi:3's last primes reach top // 15, the
+    # prefix walks' isqrt(top // 3) + 1; 64 holds the first r primes
+    table = SieveTable.build(max(top // 15, 64))
+    primes = table.primes(max(math.isqrt(top // 3) + 1, 64))[1:].tolist()
     yield "kl", count_kl(n), 1
 
     j = 2
@@ -271,7 +270,8 @@ def _w_formula_terms(n):
     r = 3
     # under the cap the first 9 odd primes, all below 64, multiply past top
     while math.prod(primes[:r]) <= top:
-        yield f"multi:{r}", _count_distinct_prime_products(r, u, primes), 1 - r
+        yield (f"multi:{r}",
+               _count_distinct_prime_products(r, u, primes, table), 1 - r)
         r += 1
 
 

@@ -9,7 +9,6 @@ per 64-odd word and popcount that one word.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 import tempfile
@@ -142,12 +141,9 @@ class SieveTable:
         i = self._index(x, 2)
         return 1 + self.odd_prime_rank(i) if i >= 0 else 1
 
-    def odd_composite_count(self, u: int) -> int:
+    def odd_composite_count(self, u: float | int) -> int:
         """Number of composite odd numbers in [3, u]."""
-        if not 3 <= u <= self.limit:
-            raise ValueError(f"{u} outside sieve range [3, {self.limit}]")
-        # a numpy integer counts as an int; a float is refused (TypeError)
-        i = (operator.index(u) - 3) // 2  # an even u has the index of u - 1
+        i = self._index(u, 3)
         return (i + 1) - self.odd_prime_rank(i)
 
     def odd_composite_count_upto(self, n_max: int) -> np.ndarray:

@@ -67,7 +67,9 @@ def element_at(n):
 
 
 def index_of(u: int) -> int:
-    """Return the index of an element: the inverse of element_at."""
+    """Return the index of an int element: the inverse of element_at."""
+    if type(u) is not int:
+        raise ValueError(f"element must be an int, got {type(u).__name__}")
     if u < 3 or u % 2 == 0:
         raise ValueError(f"not a sequence element (odd, >= 3): {u}")
     return (u - 3) // 2

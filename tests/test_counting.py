@@ -281,7 +281,21 @@ def test_class_multiplicity_at_least_distinct(table):
 
 
 def test_formula_strategy_is_capped_at_the_sieve_limit():
-    assert pi_of(10**8, Strategy.FORMULA).n == index_of(10**8 - 1)
+    capped = pi_of(10**8, Strategy.FORMULA)
+    assert capped.n == index_of(10**8 - 1)
+    # the int path of every term at the cap, multi:3..7 included
+    assert (capped.pi, capped.w_n) == (-14_680_025, 64_680_025)
+    assert capped.class_counts == {
+        "kl": 199520057, "kkl": 11604353, "kjl:3": 2587514, "kjl:4": 733584,
+        "kjl:5": 226106, "kjl:6": 72323, "kjl:7": 23563, "kjl:8": 7752,
+        "kjl:9": 2563, "kjl:10": 849, "kjl:11": 281, "kjl:12": 93,
+        "kjl:13": 30, "kjl:14": 9, "kjl:15": 2,
+        "kpow:3": 231, "kpow:4": 49, "kpow:5": 19, "kpow:6": 10, "kpow:7": 6,
+        "kpow:8": 4, "kpow:9": 3, "kpow:10": 2, "kpow:11": 2, "kpow:12": 1,
+        "kpow:13": 1, "kpow:14": 1, "kpow:15": 1, "kpow:16": 1,
+        "two_prime_l": 70532388, "multi:3": 13337070, "multi:4": 5744524,
+        "multi:5": 1163251, "multi:6": 95347, "multi:7": 1917,
+    }
     with pytest.raises(ResourceLimitError, match="exceeds cap"):
         pi_of(10**8 + 1, Strategy.FORMULA)
     with pytest.raises(ResourceLimitError, match="exceeds cap"):
@@ -376,11 +390,14 @@ SAMPLED_N = (0, 51, 52, 498, 4_999, 31_337, SWEEP_N)
 def test_distinct_prime_products_match_the_multi_enumerator():
     u = element_at(np.arange(SWEEP_N + 1))
     primes = _odd_primes_upto(int(u[-1]) // 3 + 1)
+    # the last primes are counted off a table, the runs walk the list
+    table = SieveTable.build(int(u[-1]) // 3 + 1)
     for r in range(2, 7):
-        counts = counting._count_distinct_prime_products(r, u, primes)
+        counts = counting._count_distinct_prime_products(r, u, primes, table)
         assert counts.tolist() == count_class_upto(multi(r), SWEEP_N).tolist()
         for n in SAMPLED_N:
-            one = counting._count_distinct_prime_products(r, int(u[n]), primes)
+            one = counting._count_distinct_prime_products(
+                r, int(u[n]), primes, table)
             assert one == counts[n], (r, n)
 
 

@@ -61,6 +61,8 @@ def test_odd_composite_count(table):
     assert table.odd_composite_count(99) == 25
     assert table.odd_composite_count(9) == 1
     assert table.odd_composite_count(3) == 0
+    # a float u is floored, as in the sibling queries
+    assert table.odd_composite_count(99.5) == table.odd_composite_count(99)
     for u in range(3, 500, 2):
         brute = sum(
             1 for c in range(3, u + 1, 2)
@@ -561,7 +563,7 @@ def test_every_query_refuses_values_outside_its_range(limit, tmp_path):
         for query in (table.is_prime, table.prime_count, table.primes):
             for x in (1, limit + 1, math.nan, math.inf, -math.inf):
                 refuses(query, x, x, 2)
-        for u in (2, limit + 1):
+        for u in (2, limit + 1, math.nan, math.inf, -math.inf):
             refuses(table.odd_composite_count, u, u, 3)
         # the index's element is checked: 3 + 2*n for n = -1 and top + 1
         for n in (-1, top + 1, math.nan, math.inf):

@@ -41,7 +41,7 @@ def test_index_of_values():
     assert index_of(49) == 23
 
 
-@pytest.mark.parametrize("bad", [2, 1, 0, -5, 4, 10])
+@pytest.mark.parametrize("bad", [2, 1, 0, -5, 4, 10, 9.0, np.int64(9)])
 def test_index_of_rejects_non_elements(bad):
     with pytest.raises(ValueError):
         index_of(bad)
