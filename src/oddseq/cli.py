@@ -2,8 +2,8 @@
 
 Every command takes --format text|json|csv.  Exit codes: 0 on success,
 1 when verify finds a mismatch in an exact-variant check, 2 on usage or
-domain errors and on requests above a size cap.  The ODSQ_SIEVE_CACHE
-environment variable names a file used to persist the sieve between runs.
+domain errors and on requests above a size cap.  ODSQ_SIEVE_CACHE names
+a file that persists pi's sieve between runs; no other command reads it.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ def _warn(text: str) -> None:
 
 
 def _get_table(limit: int) -> oracle.SieveTable:
-    """Sieve covering [2, limit], through the cache file if configured.
+    """pi's sieve covering [2, limit >= 3], through the cache if configured.
 
     A cache that is missing, too small, truncated or corrupt is rebuilt
     and rewritten; a file that is not a sieve cache is left untouched.
@@ -82,7 +82,7 @@ def _get_table(limit: int) -> oracle.SieveTable:
             path = None
         except (ValueError, OSError):
             pass
-    table = oracle.SieveTable.build(max(limit, 3))
+    table = oracle.SieveTable.build(limit)
     if path:
         try:
             table.dump(path)
@@ -238,14 +238,12 @@ def _cmd_tseries(args) -> int:
 # -- verify ---------------------------------------------------------------
 
 
-def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
-            table: oracle.SieveTable | None = None):
+def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int):
     """Check each class over every index 0..n_max; print nothing.
 
     Returns the per-class summaries and the mismatch rows, at most
-    max_rows per class, both in the order of tokens.  Only `w` reads the
-    sieve: it is fetched for `w` unless a table covering 3 + 2*n_max is
-    passed in.
+    max_rows per class, both in the order of tokens.  Only `w` reads a
+    sieve: one is built to 3 + 2*n_max for it, never read from the cache.
     """
     n = np.arange(n_max + 1, dtype=np.int64)
     # every token is resolved before any work; w counts from the sieve
@@ -279,8 +277,7 @@ def _verify(tokens: list[str], variant: str, n_max: int, max_rows: int,
     # kkl, kpow:3) is checked as it comes, so no term array is kept
     checked = {}
     if "w" in tokens and variant != "classic":
-        if table is None:
-            table = _get_table(3 + 2 * n_max)
+        table = oracle.SieveTable.build(3 + 2 * n_max)
         w = np.zeros_like(n)
         for name, count, weight in counting._w_formula_terms(n):
             w += weight * count
@@ -304,7 +301,7 @@ def _cmd_verify(args) -> int:
     tokens = [tok.strip() for tok in args.classes.split(",") if tok.strip()]
     n_max = args.max_n
     summaries, rows = _verify(tokens, args.variant, n_max, args.max_rows)
-    if not summaries:  # nothing was computed, nor a sieve fetched
+    if not summaries:  # nothing was computed, nor a sieve built
         raise ValueError(f"--classes {args.classes!r} with --variant"
                          f" {args.variant} checks nothing")
     ok = not any(s["mismatches"] and not s["informational"] for s in summaries)
@@ -366,10 +363,10 @@ def _medians_ns(fns, repeats: int) -> list[int]:
 def _cmd_bench(args) -> int:
     x_max = int(args.x_max)
     repeats = args.repeats
-    table = _get_table(x_max)
+    table = oracle.SieveTable.build(max(x_max, 3))
     n_primes = table.prime_count(x_max)
     gen_count = min(n_primes, 20_000)
-    # verify's default classes up to the index of x_max, which the table covers
+    # verify's default classes up to the index of x_max, at most 3000
     verify_n = min(max((x_max - 3) // 2, 0), 3000)
     verify_tokens = DEFAULT_VERIFY_CLASSES.split(",")
 
@@ -384,7 +381,7 @@ def _cmd_bench(args) -> int:
          lambda: counting.pi_of(x_max, counting.Strategy.FORMULA)),
         (f"gen({gen_count})", lambda: primegen.first_n_primes(gen_count)),
         (f"verify({verify_n})",
-         lambda: _verify(verify_tokens, "exact", verify_n, 10, table)),
+         lambda: _verify(verify_tokens, "exact", verify_n, 10)),
         ("sieve build", lambda: oracle.SieveTable.build(max(x_max, 3))),
         ("rank build", first_query),
         ("rank query", lambda: table.prime_count(x_max)),

@@ -180,25 +180,28 @@ class SieveTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "SieveTable":
-        """Read a file written by dump.
+        """Read a file written by dump, its header first.
 
         Raises NotASieveFile when the file does not start with the magic
         (or, if shorter, a prefix of it), and ValueError when it is
-        truncated or inconsistent.
+        truncated or inconsistent, before reading a refused file's body.
         """
-        blob = Path(path).read_bytes()
-        if blob[:4] != MAGIC[: len(blob)]:
-            raise NotASieveFile(f"bad sieve file magic: {blob[:4]!r}")
-        if len(blob) < _HEADER.size:
-            raise ValueError(
-                f"sieve file has {len(blob)} bytes, shorter than its header"
-            )
-        _, limit = _HEADER.unpack_from(blob)
-        packed = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size).copy()
-        n_odds = (limit - 1) // 2 if limit >= 3 else 0
-        if len(packed) != (n_odds + 7) // 8:
-            raise ValueError("sieve file bitmap length does not match limit")
-        return cls(int(limit), packed)
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            if head[:4] != MAGIC[: len(head)]:
+                raise NotASieveFile(f"bad sieve file magic: {head[:4]!r}")
+            if len(head) < _HEADER.size:
+                raise ValueError(
+                    f"sieve file has {len(head)} bytes, shorter than its header"
+                )
+            _, limit = _HEADER.unpack(head)
+            n_bytes = ((limit - 1) // 2 + 7) // 8 if limit >= 3 else 0
+            if os.fstat(fh.fileno()).st_size == _HEADER.size + n_bytes:
+                packed = np.empty(n_bytes, dtype=np.uint8)
+                # a file that shrank since its size was read reads short
+                if fh.readinto(packed) == n_bytes:
+                    return cls(limit, packed)
+        raise ValueError("sieve file bitmap length does not match limit")
 
 
 # each class kind, and whether its token carries a parameter

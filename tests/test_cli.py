@@ -385,7 +385,33 @@ def test_verify_without_w_reads_no_sieve(capsys, monkeypatch, tmp_path):
     assert code == 0 and "result: OK" in out and err == ""
     assert not path.exists()
     code, out, _ = run(capsys, "verify", "--classes", "w", "--max-n", "100")
-    assert code == 0 and path.exists()
+    assert code == 0 and not path.exists()
+
+
+@pytest.mark.parametrize("state", ["missing", "covering", "foreign"])
+def test_verify_and_bench_leave_the_sieve_cache_alone(
+        capsys, monkeypatch, tmp_path, state):
+    # only pi reads or writes the cache; verify and bench build their sieve
+    verify = ["verify", "--classes", "w", "--max-n", "300", "--format", "json"]
+    bench = ["bench", "--x-max", "100", "--repeats", "1", "--format", "json"]
+    monkeypatch.delenv("ODSQ_SIEVE_CACHE", raising=False)
+    _, want, _ = run(capsys, *verify)
+    path = tmp_path / "sieve.odsq"
+    if state == "covering":
+        oracle.SieveTable.build(10**5).dump(path)
+    elif state == "foreign":
+        path.write_bytes(b"not a sieve cache\n")
+    before = path.read_bytes() if path.exists() else None
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+
+    def no_load(source):
+        raise AssertionError(f"sieve cache {source} read")
+
+    monkeypatch.setattr(oracle.SieveTable, "load", no_load)
+    assert run(capsys, *verify) == (0, want, "")
+    code, _, err = run(capsys, *bench)
+    assert (code, err) == (0, "")
+    assert (path.read_bytes() if path.exists() else None) == before
 
 
 def test_verify_csv_rows(capsys):

@@ -141,6 +141,26 @@ def test_load_flags_a_foreign_file(tmp_path):
             SieveTable.load(path)
 
 
+def test_load_refuses_a_large_file_without_reading_its_body(tmp_path):
+    foreign = tmp_path / "foreign"
+    foreign.write_bytes(b"PK\x03\x04")
+    too_long = tmp_path / "long.odsq"
+    SieveTable.build(1000).dump(too_long)
+    for path, error, message in (
+            (foreign, NotASieveFile, "magic"),
+            (too_long, ValueError, "bitmap length does not match limit")):
+        with open(path, "r+b") as fh:
+            fh.truncate(64 * 2**20)  # sparse: no disk blocks
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                SieveTable.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 def test_dump_replaces_the_file_through_a_sibling(tmp_path, monkeypatch):
     path = tmp_path / "cache.odsq"
     path.write_bytes(b"ODSQ old")
