@@ -68,11 +68,14 @@ def _warn(text: str) -> None:
 def _get_table(limit: int) -> oracle.SieveTable:
     """pi's sieve covering [2, limit >= 3], through the cache if configured.
 
-    A cache that is missing, too small, truncated or corrupt is rebuilt
+    A cache that is missing, unreadable, too small, truncated or corrupt,
+    a header limit outside [2, DEFAULT_MAX_LIMIT] included, is rebuilt
     and rewritten; a file that is not a sieve cache is left untouched.
+    A limit above the cap is refused by build, whatever the file holds,
+    before the file is touched.
     """
     path = os.environ.get("ODSQ_SIEVE_CACHE")
-    if path and os.path.exists(path):
+    if path:
         try:
             table = oracle.SieveTable.load(path)
             if table.limit >= limit:
@@ -97,7 +100,8 @@ def _render(fmt: str, record: dict, header: list[str], rows, lines,
 
     record is the JSON object, header and rows the csv table, lines the
     text.  rows and lines may be generators: only the format asked for
-    is built.
+    is built.  A reader that closes stdout early cuts the output short
+    without an error, and the command keeps its own exit code.
     """
     if fmt == "json":
         out = json.dumps(record, indent=indent)
@@ -109,7 +113,13 @@ def _render(fmt: str, record: dict, header: list[str], rows, lines,
         out = buf.getvalue().rstrip("\n")
     else:
         out = "\n".join(lines)
-    print(out)
+    try:
+        print(out, flush=True)  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the interpreter's flush at exit then writes what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _spaced(values):

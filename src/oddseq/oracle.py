@@ -114,9 +114,8 @@ class SieveTable:
         """Odd primes before each word of 64 odds (8 packed bytes)."""
         n_words = len(self.packed) // 8
         words = self.packed[: 8 * n_words].view(np.uint64)
-        # a count never exceeds the bitmap's bits; uint32 holds that below 2**32
-        dtype = np.uint32 if 8 * len(self.packed) < 2**32 else np.uint64
-        rank = np.zeros(n_words + 1, dtype)
+        # build and load both cap the limit, so every count fits in uint32
+        rank = np.zeros(n_words + 1, np.uint32)
         rank[1:] = np.bitwise_count(words)
         np.cumsum(rank, out=rank)  # in place: no full-size temporary
         # a partial last word, read bytewise once
@@ -184,7 +183,9 @@ class SieveTable:
 
         Raises NotASieveFile when the file does not start with the magic
         (or, if shorter, a prefix of it), and ValueError when it is
-        truncated or inconsistent, before reading a refused file's body.
+        truncated or inconsistent or its limit lies outside [2,
+        DEFAULT_MAX_LIMIT], before reading a refused file's body.  So a
+        loaded table is one that build could have made.
         """
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -195,7 +196,10 @@ class SieveTable:
                     f"sieve file has {len(head)} bytes, shorter than its header"
                 )
             _, limit = _HEADER.unpack(head)
-            n_bytes = ((limit - 1) // 2 + 7) // 8 if limit >= 3 else 0
+            if not 2 <= limit <= DEFAULT_MAX_LIMIT:
+                raise ValueError(f"sieve file limit {limit} outside"
+                                 f" [2, {DEFAULT_MAX_LIMIT}]")
+            n_bytes = ((limit - 1) // 2 + 7) // 8
             if os.fstat(fh.fileno()).st_size == _HEADER.size + n_bytes:
                 packed = np.empty(n_bytes, dtype=np.uint8)
                 # a file that shrank since its size was read reads short

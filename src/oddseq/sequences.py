@@ -16,6 +16,7 @@ prime above the largest divisor.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,15 +176,10 @@ def wheel_elements(spec: WheelSpec, limit: int) -> list[int]:
             f" {limit * len(spec.offsets) // spec.period} elements,"
             f" above the cap {MAX_WHEEL_ELEMENTS}"
         )
-    start = min(spec.seeds)
-    out = []
-    base = (start // spec.period) * spec.period
-    while base <= limit:
-        for r in spec.offsets:
-            u = base + r
-            if u > limit:
-                break
-            if u >= start:
-                out.append(u)
-        base += spec.period
+    start, period = min(spec.seeds), spec.period
+    # whole periods from the one holding start, then both ends cut
+    out = [base + r for base in range(start // period * period, limit + 1, period)
+           for r in spec.offsets]
+    del out[bisect_right(out, limit):]
+    del out[:bisect_left(out, start)]
     return out

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -451,6 +452,17 @@ def test_bench_rejects_non_positive_repeats(capsys, value):
     assert "median" not in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--max-n"), ("verify", "--max-rows"), ("bench", "--repeats")])
+@pytest.mark.parametrize("text", ["abc", "1.5"])
+def test_int_options_refuse_a_non_int(capsys, command, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid int value: '{text}'" in err
+
+
 def test_sieve_cache_env(capsys, monkeypatch, tmp_path):
     path = tmp_path / "sieve.odsq"
     monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
@@ -547,6 +559,24 @@ def test_sieve_cache_leaves_a_foreign_file_alone(capsys, monkeypatch, tmp_path):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning:")
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_sieve_cache_above_the_cap_is_not_a_table(capsys, monkeypatch, tmp_path):
+    # a valid header for 2e8 and a sparse body of the matching 12.5 MB
+    path = tmp_path / "sieve.odsq"
+    path.write_bytes(struct.pack("<4sQ", b"ODSQ", 2 * 10**8))
+    with open(path, "r+b") as fh:
+        fh.truncate(12 + 12_500_000)
+    before = path.read_bytes()
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+    code, out, err = run(capsys, "pi", "1.5e8")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: sieve limit 150000000 exceeds cap 100000000"]
+    assert path.read_bytes() == before
+    code, out, err = run(capsys, "pi", "1000")
+    assert code == 0 and "pi = 168" in out.splitlines() and err == ""
+    assert oracle.SieveTable.load(path).limit == 1000
 
 
 def test_tseries_wheel_over_cap_exits_two(capsys):
@@ -687,12 +717,18 @@ def test_cli_fuzz_keeps_the_exit_code_contract(command, tokens):
     assert "Traceback" not in err.getvalue()
 
 
-def run_module(*argv):
-    """The CLI as a process: `python -m oddseq.cli` on this checkout's src."""
+def module_env():
+    """The environment for `python -m oddseq.cli` on this checkout's src."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     env.pop("ODSQ_SIEVE_CACHE", None)
+    return env
+
+
+def run_module(*argv):
+    """The CLI as a process: `python -m oddseq.cli` on this checkout's src."""
     return subprocess.run([sys.executable, "-m", "oddseq.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=module_env(),
+                          timeout=60)
 
 
 def test_module_entry_point_keeps_the_exit_code_contract():
@@ -704,3 +740,29 @@ def test_module_entry_point_keeps_the_exit_code_contract():
     assert done.stdout == ""
     assert done.stderr.splitlines() == [
         "error: sieve limit 1000000000 exceeds cap 100000000"]
+
+
+def test_a_closed_stdout_ends_the_output_without_a_traceback():
+    # about 1.4 MB of text: far more than a pipe holds, so the write blocks
+    with subprocess.Popen(
+            [sys.executable, "-m", "oddseq.cli", "gen", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=module_env()) as proc:
+        try:
+            assert len(proc.stdout.read(16)) == 16
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once it has exited: a hang fails, not hangs
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_verify_exits_one_on_a_mismatch_into_a_closed_stdout(monkeypatch):
+    real = counting.count_kl
+    monkeypatch.setattr(counting, "count_kl", lambda n: real(n) + 1)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # closing the file flushes what is left: it must not fail either
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["verify", "--classes", "kl", "--max-n", "50"]) == 1

@@ -161,6 +161,34 @@ def test_load_refuses_a_large_file_without_reading_its_body(tmp_path):
         assert peak < 2**20
 
 
+def sparse_sieve_file(path, limit):
+    """A file with a valid header for limit and a sparse, all-zero bitmap."""
+    path.write_bytes(struct.pack("<4sQ", b"ODSQ", limit))
+    with open(path, "r+b") as fh:
+        fh.truncate(12 + ((limit - 1) // 2 + 7) // 8)  # sparse: no disk blocks
+    return path
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2 * 10**8])
+def test_load_refuses_a_limit_build_could_not_make(tmp_path, limit):
+    path = sparse_sieve_file(tmp_path / "cache.odsq", limit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"sieve file limit {limit} outside [2, 100000000]")):
+            SieveTable.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_load_takes_the_limits_build_can_make(tmp_path):
+    for limit in (2, 3, oracle.DEFAULT_MAX_LIMIT):
+        path = sparse_sieve_file(tmp_path / f"{limit}.odsq", limit)
+        assert SieveTable.load(path).limit == limit
+
+
 def test_dump_replaces_the_file_through_a_sibling(tmp_path, monkeypatch):
     path = tmp_path / "cache.odsq"
     path.write_bytes(b"ODSQ old")

@@ -115,6 +115,8 @@ def test_wheel_elements_examples():
 
 def test_wheel_elements_below_first_seed_is_empty():
     assert wheel_elements(build_wheel([3]), 4) == []
+    assert wheel_elements(build_wheel([3]), 0) == []
+    assert wheel_elements(build_wheel([3]), -10**30) == []
 
 
 @pytest.mark.parametrize("divisors", [(3,), (5,), (3, 5), (3, 7), (5, 11)])
