@@ -2,12 +2,14 @@
 
 Every command takes --format text|json|csv.  Exit codes: 0 on success,
 1 when verify finds a mismatch in an exact-variant check, 2 on usage or
-domain errors and on requests above a size cap.  ODSQ_SIEVE_CACHE names
+domain errors, on requests above a size cap and when stdout cannot be
+written.  A closed stderr changes no exit code.  ODSQ_SIEVE_CACHE names
 a file that persists pi's sieve between runs; no other command reads it.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import decimal
 import functools
@@ -61,8 +63,14 @@ def _int_between(low: int, high: int | None = None):
     return parse
 
 
+def _stderr(line: str) -> None:
+    # a closed stderr (None if closed at start-up) drops the line
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.write(line + "\n")
+
+
 def _warn(text: str) -> None:
-    print(f"warning: {text}", file=sys.stderr)
+    _stderr(f"warning: {text}")
 
 
 def _get_table(limit: int) -> oracle.SieveTable:
@@ -101,7 +109,8 @@ def _render(fmt: str, record: dict, header: list[str], rows, lines,
     record is the JSON object, header and rows the csv table, lines the
     text.  rows and lines may be generators: only the format asked for
     is built.  A reader that closes stdout early cuts the output short
-    without an error, and the command keeps its own exit code.
+    without an error, and the command keeps its own exit code; any other
+    failure to write stdout raises its OSError, which main reports.
     """
     if fmt == "json":
         out = json.dumps(record, indent=indent)
@@ -380,10 +389,6 @@ def _cmd_bench(args) -> int:
     verify_n = min(max((x_max - 3) // 2, 0), 3000)
     verify_tokens = DEFAULT_VERIFY_CLASSES.split(",")
 
-    def first_query():
-        # the first query on a fresh table builds its rank table
-        return oracle.SieveTable(table.limit, table.packed).prime_count(x_max)
-
     layers = [
         ("pi(oracle)",
          lambda: counting.pi_of(x_max, counting.Strategy.ORACLE, table)),
@@ -393,7 +398,7 @@ def _cmd_bench(args) -> int:
         (f"verify({verify_n})",
          lambda: _verify(verify_tokens, "exact", verify_n, 10)),
         ("sieve build", lambda: oracle.SieveTable.build(max(x_max, 3))),
-        ("rank build", first_query),
+        ("rank build", lambda: oracle.SieveTable(table.limit, table.packed)),
         ("rank query", lambda: table.prime_count(x_max)),
     ]
     names, fns = zip(*layers)
@@ -492,13 +497,15 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    """Run one command; an error, a refused size or an unwritable stdout
+    prints one `error:` line through _stderr and returns 2."""
     args = _parser().parse_args(argv)
     # looked up per call, so a replaced handler takes effect
     handler = globals()[f"_cmd_{args.command}"]
     try:
         return handler(args)
-    except (ValueError, OverflowError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, ResourceLimitError, OSError) as exc:
+        _stderr(f"error: {exc}")
         return 2
 
 

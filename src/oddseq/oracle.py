@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -60,20 +61,33 @@ def _odd_primes_upto(limit: int) -> list[int]:
 
 
 class NotASieveFile(ValueError):
-    """A file whose first bytes are neither the sieve magic nor a prefix of it."""
+    """A file that is not regular, or whose first bytes are neither the
+    sieve magic nor a prefix of it."""
 
 
 class SieveTable:
     """Primality over [2, limit], stored one bit per odd number.
 
     bit i of the packed map corresponds to the odd number 3 + 2*i
-    (little-endian bit order within each byte).
+    (little-endian bit order within each byte).  Every table, made by
+    build, load or the constructor, carries its rank from the start.
     """
 
     def __init__(self, limit: int, packed: np.ndarray):
         self.limit = limit
         self.packed = packed
-        self._rank = None  # built by the first rank query
+        # the rank: odd primes before each word of 64 odds (8 packed bytes)
+        n_words = len(packed) // 8
+        words = packed[: 8 * n_words].view(np.uint64)
+        # build and load both cap the limit, so every count fits in uint32
+        rank = np.zeros(n_words + 1, np.uint32)
+        np.bitwise_count(words, out=rank[1:])
+        np.add.accumulate(rank, out=rank)  # in place; cumsum adds in uint64
+        # a partial last word, read bytewise once
+        self._last_word = int.from_bytes(packed[8 * n_words :], "little")
+        # memoryviews index to Python ints
+        self._words = memoryview(words)
+        self._rank = memoryview(rank)
 
     @classmethod
     def build(cls, limit: int) -> "SieveTable":
@@ -110,24 +124,8 @@ class SieveTable:
             return bool(u == 2)
         return bool((self.packed[i >> 3] >> (i & 7)) & 1)
 
-    def _build_rank(self) -> None:
-        """Odd primes before each word of 64 odds (8 packed bytes)."""
-        n_words = len(self.packed) // 8
-        words = self.packed[: 8 * n_words].view(np.uint64)
-        # build and load both cap the limit, so every count fits in uint32
-        rank = np.zeros(n_words + 1, np.uint32)
-        rank[1:] = np.bitwise_count(words)
-        np.cumsum(rank, out=rank)  # in place: no full-size temporary
-        # a partial last word, read bytewise once
-        self._last_word = int.from_bytes(self.packed[8 * n_words :], "little")
-        # memoryviews index to Python ints
-        self._words = memoryview(words)
-        self._rank = memoryview(rank)
-
     def odd_prime_rank(self, i: int) -> int:
         """Number of odd primes among the odds 3 .. 3+2*i (i unchecked)."""
-        if self._rank is None:
-            self._build_rank()
         w = i >> 6
         try:
             word = self._words[w]
@@ -181,13 +179,18 @@ class SieveTable:
     def load(cls, path: str | Path) -> "SieveTable":
         """Read a file written by dump, its header first.
 
-        Raises NotASieveFile when the file does not start with the magic
-        (or, if shorter, a prefix of it), and ValueError when it is
-        truncated or inconsistent or its limit lies outside [2,
-        DEFAULT_MAX_LIMIT], before reading a refused file's body.  So a
-        loaded table is one that build could have made.
+        Raises NotASieveFile when path is not a regular file (it is
+        opened without blocking, so a FIFO is refused, not waited on) or
+        does not start with the magic (or, if shorter, a prefix of it),
+        and ValueError when it is truncated or inconsistent or its limit
+        lies outside [2, DEFAULT_MAX_LIMIT], before reading a refused
+        file's body.  So a loaded table is one that build could have made.
         """
-        with open(path, "rb") as fh:
+        nonblocking = lambda p, flags: os.open(p, flags | os.O_NONBLOCK)
+        with open(path, "rb", opener=nonblocking) as fh:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise NotASieveFile(f"{path} is not a regular file")
             head = fh.read(_HEADER.size)
             if head[:4] != MAGIC[: len(head)]:
                 raise NotASieveFile(f"bad sieve file magic: {head[:4]!r}")
@@ -200,7 +203,7 @@ class SieveTable:
                 raise ValueError(f"sieve file limit {limit} outside"
                                  f" [2, {DEFAULT_MAX_LIMIT}]")
             n_bytes = ((limit - 1) // 2 + 7) // 8
-            if os.fstat(fh.fileno()).st_size == _HEADER.size + n_bytes:
+            if st.st_size == _HEADER.size + n_bytes:
                 packed = np.empty(n_bytes, dtype=np.uint8)
                 # a file that shrank since its size was read reads short
                 if fh.readinto(packed) == n_bytes:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -755,6 +756,74 @@ def test_a_closed_stdout_ends_the_output_without_a_traceback():
         finally:
             proc.kill()  # a no-op once it has exited: a hang fails, not hangs
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_a_closed_stderr_keeps_the_exit_code():
+    done = subprocess.run(
+        ["sh", "-c", '"$0" -m oddseq.cli pi 1e9 2>&-', sys.executable],
+        capture_output=True, env=module_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
+class ClosedStderr(io.TextIOBase):
+    """A stderr whose fd was closed after start-up: every write fails."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+# None is what Python makes of an fd 2 closed at start-up
+@pytest.mark.parametrize("stderr", [None, ClosedStderr()])
+def test_a_closed_stderr_drops_warnings_and_errors(
+        stderr, capsys, monkeypatch, tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"not a sieve cache\n")
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert cli.main(["pi", "100"]) == 0
+    assert cli.main(["pi", "1e9"]) == 2
+    out = capsys.readouterr().out
+    assert "pi = 25" in out.splitlines()
+    assert "warning" not in out and "error" not in out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["gen", "5"], ["verify", "--max-n", "300", "--format", "json"]])
+def test_an_unwritable_stdout_is_an_error(argv):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "oddseq.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, text=True, env=module_env(), timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_sieve_cache_leaves_a_fifo_alone(tmp_path):
+    path = tmp_path / "sieve.odsq"
+    os.mkfifo(path)
+    # opening a FIFO to read waits for a writer: the timeout fails a hang
+    done = subprocess.run(
+        [sys.executable, "-m", "oddseq.cli", "pi", "1000"],
+        capture_output=True, text=True,
+        env={**module_env(), "ODSQ_SIEVE_CACHE": str(path)}, timeout=10)
+    assert done.returncode == 0
+    assert "pi = 168" in done.stdout.splitlines()
+    [line] = done.stderr.splitlines()
+    assert line.startswith("warning:")
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+
+
+def test_sieve_cache_leaves_a_symlink_to_a_device_alone(
+        capsys, monkeypatch, tmp_path):
+    path = tmp_path / "sieve.odsq"
+    path.symlink_to(os.devnull)
+    monkeypatch.setenv("ODSQ_SIEVE_CACHE", str(path))
+    code, out, err = run(capsys, "pi", "100")
+    assert code == 0 and "pi = 25" in out
+    assert err.startswith("warning:")
+    assert path.is_symlink() and os.readlink(path) == os.devnull
 
 
 def test_verify_exits_one_on_a_mismatch_into_a_closed_stdout(monkeypatch):

@@ -574,6 +574,28 @@ def test_every_query_matches_a_plain_sieve(limit, tmp_path):
                 == (np.arange(1, top + 2) - np.cumsum(bits)).tolist())
 
 
+@pytest.mark.parametrize("limit", [3, 4, 129, 130, 131, 257, 10**4 + 1])
+def test_every_table_is_made_with_its_rank(limit, tmp_path, monkeypatch):
+    built, loaded = built_and_loaded(limit, tmp_path)
+    tables = [built, loaded, SieveTable(built.limit, built.packed)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query builds no rank")
+
+    # the rank's popcount: a table made above needs it no more
+    monkeypatch.setattr(oracle.np, "bitwise_count", refuse)
+    rank = np.cumsum(plain_odd_sieve(limit)).tolist()
+    for table in tables:
+        assert [table.odd_prime_rank(i) for i in range(len(rank))] == rank
+        for x in range(2, limit + 1):
+            odd_primes = rank[(x - 3) // 2] if x >= 3 else 0
+            assert table.prime_count(x) == 1 + odd_primes, x
+            assert pi_of(x, Strategy.ORACLE, table).pi == 1 + odd_primes, x
+            if x >= 3:
+                want = (x - 1) // 2 - odd_primes
+                assert table.odd_composite_count(x) == want, x
+
+
 @pytest.mark.parametrize("kind", [np.int64, np.int32, np.float64])
 def test_queries_read_numpy_values_as_python_values(kind, tmp_path):
     for table in built_and_loaded(1000, tmp_path):
