@@ -63,10 +63,22 @@ def _int_between(low: int, high: int | None = None):
     return parse
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's fd at devnull after a failed write, so the rest of
+    its buffer goes there when the interpreter flushes it at exit."""
+    fd = stream.fileno()  # first: a stream with no fd raises here
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _stderr(line: str) -> None:
     # a closed stderr (None if closed at start-up) drops the line
     with contextlib.suppress(AttributeError, OSError):
-        sys.stderr.write(line + "\n")
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:
+            _to_devnull(sys.stderr)
 
 
 def _warn(text: str) -> None:
@@ -124,11 +136,10 @@ def _render(fmt: str, record: dict, header: list[str], rows, lines,
         out = "\n".join(lines)
     try:
         print(out, flush=True)  # a closed pipe fails here, not at exit
-    except BrokenPipeError:
-        # the interpreter's flush at exit then writes what is left to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except OSError as exc:
+        _to_devnull(sys.stdout)
+        if not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def _spaced(values):

@@ -60,6 +60,20 @@ def _odd_primes_upto(limit: int) -> list[int]:
     return (3 + 2 * np.flatnonzero(segment)).tolist()
 
 
+def _packed_odd_primes(limit: int) -> np.ndarray:
+    """The primality of the odds 3 .. limit, one bit each, sieved by segment."""
+    n_odds = (limit - 1) // 2
+    primes = _odd_primes_upto(math.isqrt(limit))
+    packed = np.empty((n_odds + 7) // 8, dtype=np.uint8)
+    buffer = np.empty(min(n_odds, _SEGMENT_ODDS), dtype=bool)
+    for lo in range(0, n_odds, _SEGMENT_ODDS):
+        segment = _sieve_segment(buffer[: n_odds - lo], lo, primes)
+        bits = np.packbits(segment, bitorder="little")
+        # lo is a multiple of 8, so each segment starts on a byte
+        packed[lo // 8 : lo // 8 + len(bits)] = bits
+    return packed
+
+
 class NotASieveFile(ValueError):
     """A file that is not regular, or whose first bytes are neither the
     sieve magic nor a prefix of it."""
@@ -98,16 +112,8 @@ class SieveTable:
             raise ResourceLimitError(
                 f"sieve limit {limit} exceeds cap {DEFAULT_MAX_LIMIT}"
             )
-        n_odds = (limit - 1) // 2
-        primes = _odd_primes_upto(math.isqrt(limit))
-        packed = np.empty((n_odds + 7) // 8, dtype=np.uint8)
-        buffer = np.empty(min(n_odds, _SEGMENT_ODDS), dtype=bool)
-        for lo in range(0, n_odds, _SEGMENT_ODDS):
-            segment = _sieve_segment(buffer[: n_odds - lo], lo, primes)
-            bits = np.packbits(segment, bitorder="little")
-            # lo is a multiple of 8, so each segment starts on a byte
-            packed[lo // 8 : lo // 8 + len(bits)] = bits
-        return cls(limit, packed)
+        # the segment buffer is freed before the rank is built
+        return cls(limit, _packed_odd_primes(limit))
 
     # -- queries ---------------------------------------------------------
 
@@ -186,8 +192,10 @@ class SieveTable:
         lies outside [2, DEFAULT_MAX_LIMIT], before reading a refused
         file's body.  So a loaded table is one that build could have made.
         """
-        nonblocking = lambda p, flags: os.open(p, flags | os.O_NONBLOCK)
-        with open(path, "rb", opener=nonblocking) as fh:
+        # so a FIFO's open does not wait for a writer (O_NONBLOCK is POSIX only)
+        nonblocking = getattr(os, "O_NONBLOCK", 0)
+        with open(path, "rb",
+                  opener=lambda p, flags: os.open(p, flags | nonblocking)) as fh:
             st = os.fstat(fh.fileno())
             if not stat.S_ISREG(st.st_mode):
                 raise NotASieveFile(f"{path} is not a regular file")

@@ -722,6 +722,7 @@ def module_env():
     """The environment for `python -m oddseq.cli` on this checkout's src."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     env.pop("ODSQ_SIEVE_CACHE", None)
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as a plain shell has
     return env
 
 
@@ -758,9 +759,14 @@ def test_a_closed_stdout_ends_the_output_without_a_traceback():
     assert (proc.returncode, err) == (0, b"")
 
 
-def test_a_closed_stderr_keeps_the_exit_code():
+@pytest.mark.parametrize("redirect", [
+    "2>&-",
+    pytest.param("2>/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+])
+def test_a_closed_stderr_keeps_the_exit_code(redirect):
     done = subprocess.run(
-        ["sh", "-c", '"$0" -m oddseq.cli pi 1e9 2>&-', sys.executable],
+        ["sh", "-c", f'"$0" -m oddseq.cli pi 1e9 {redirect}', sys.executable],
         capture_output=True, env=module_env(), timeout=60)
     assert (done.returncode, done.stdout) == (2, b"")
 

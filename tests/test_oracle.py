@@ -536,8 +536,9 @@ def test_loaded_table_answers_as_built(multi_segment, tmp_path):
     check_ranks(loaded, rank, indices + [0, len(rank) - 1])
 
 
-# a bitmap of one whole 64-odd word, one odd past it, two past, and 7.8 words
-QUERY_LIMITS = (129, 131, 133, 1000)
+# a bitmap of one odd and of one whole 64-odd word (each at an odd and an
+# even limit), one and two odds past that word, two words, 7.8 and 78.1 words
+QUERY_LIMITS = (3, 4, 129, 130, 131, 133, 257, 1000, 10**4 + 1)
 
 
 def built_and_loaded(limit, tmp_path):
@@ -548,12 +549,20 @@ def built_and_loaded(limit, tmp_path):
 
 
 @pytest.mark.parametrize("limit", QUERY_LIMITS)
-def test_every_query_matches_a_plain_sieve(limit, tmp_path):
+def test_every_query_matches_a_plain_sieve(limit, tmp_path, monkeypatch):
+    built, loaded = built_and_loaded(limit, tmp_path)
+    tables = [built, loaded, SieveTable(built.limit, built.packed)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query builds no rank")
+
+    # the rank's popcount: each table was ranked when it was made
+    monkeypatch.setattr(oracle.np, "bitwise_count", refuse)
     bits = plain_odd_sieve(limit)
     plain = np.concatenate([[2], 3 + 2 * np.flatnonzero(bits)])
     integers = range(2, limit + 1)
     plain_set = set(plain.tolist())
-    for table in built_and_loaded(limit, tmp_path):
+    for table in tables:
         is_prime = [table.is_prime(k) for k in integers]
         assert is_prime == [k in plain_set for k in integers]
         primes_upto = np.cumsum(is_prime)  # primes <= k, from is_prime alone
@@ -561,6 +570,7 @@ def test_every_query_matches_a_plain_sieve(limit, tmp_path):
         for x in np.arange(2, limit + 1, 0.5).tolist():
             want = int(np.searchsorted(plain, x, side="right"))
             assert table.prime_count(x) == want, x
+            assert pi_of(x, Strategy.ORACLE, table).pi == want, x
             assert table.primes(x).tolist() == plain[:want].tolist(), x
             assert primes_upto[math.floor(x) - 2] == want, x
             if x % 1:
@@ -572,28 +582,6 @@ def test_every_query_matches_a_plain_sieve(limit, tmp_path):
         top = (limit - 3) // 2
         assert (table.odd_composite_count_upto(top).tolist()
                 == (np.arange(1, top + 2) - np.cumsum(bits)).tolist())
-
-
-@pytest.mark.parametrize("limit", [3, 4, 129, 130, 131, 257, 10**4 + 1])
-def test_every_table_is_made_with_its_rank(limit, tmp_path, monkeypatch):
-    built, loaded = built_and_loaded(limit, tmp_path)
-    tables = [built, loaded, SieveTable(built.limit, built.packed)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a query builds no rank")
-
-    # the rank's popcount: a table made above needs it no more
-    monkeypatch.setattr(oracle.np, "bitwise_count", refuse)
-    rank = np.cumsum(plain_odd_sieve(limit)).tolist()
-    for table in tables:
-        assert [table.odd_prime_rank(i) for i in range(len(rank))] == rank
-        for x in range(2, limit + 1):
-            odd_primes = rank[(x - 3) // 2] if x >= 3 else 0
-            assert table.prime_count(x) == 1 + odd_primes, x
-            assert pi_of(x, Strategy.ORACLE, table).pi == 1 + odd_primes, x
-            if x >= 3:
-                want = (x - 1) // 2 - odd_primes
-                assert table.odd_composite_count(x) == want, x
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.int32, np.float64])
