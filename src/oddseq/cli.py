@@ -2,9 +2,9 @@
 
 Every command takes --format text|json|csv.  Exit codes: 0 on success,
 1 when verify finds a mismatch in an exact-variant check, 2 on usage or
-domain errors, on requests above a size cap and when stdout cannot be
-written.  A closed stderr changes no exit code.  ODSQ_SIEVE_CACHE names
-a file that persists pi's sieve between runs; no other command reads it.
+domain errors, above a size cap and when stdout is missing (closed at
+start-up) or cannot be written.  A closed stderr changes no exit code.
+ODSQ_SIEVE_CACHE keeps pi's sieve in a file between runs; only pi reads it.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import decimal
+import errno
 import functools
 import io
 import json
@@ -63,26 +64,30 @@ def _int_between(low: int, high: int | None = None):
     return parse
 
 
-def _to_devnull(stream) -> None:
-    """Point stream's fd at devnull after a failed write, so the rest of
-    its buffer goes there when the interpreter flushes it at exit."""
-    fd = stream.fileno()  # first: a stream with no fd raises here
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+def _write(stream, text: str) -> None:
+    """The one writer of CLI output: text, a newline, then a flush.
+
+    None (a stream closed at start-up) raises EBADF.  After a failed write
+    the fd points at devnull, so the flush at exit cannot fail again.
+    """
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(text)
+        stream.write("\n")  # not text + "\n": gen's output is not copied
+        stream.flush()
+    except OSError:
+        fd = stream.fileno()  # first: a stream with no fd raises here
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        raise
 
 
 def _stderr(line: str) -> None:
-    # a closed stderr (None if closed at start-up) drops the line
-    with contextlib.suppress(AttributeError, OSError):
-        try:
-            sys.stderr.write(line + "\n")
-        except OSError:
-            _to_devnull(sys.stderr)
-
-
-def _warn(text: str) -> None:
-    _stderr(f"warning: {text}")
+    # a closed stderr drops the line
+    with contextlib.suppress(OSError):
+        _write(sys.stderr, line)
 
 
 def _get_table(limit: int) -> oracle.SieveTable:
@@ -101,7 +106,7 @@ def _get_table(limit: int) -> oracle.SieveTable:
             if table.limit >= limit:
                 return table
         except oracle.NotASieveFile:
-            _warn(f"{path} is not a sieve cache; leaving it unchanged")
+            _stderr(f"warning: {path} is not a sieve cache; leaving it unchanged")
             path = None
         except (ValueError, OSError):
             pass
@@ -110,7 +115,7 @@ def _get_table(limit: int) -> oracle.SieveTable:
         try:
             table.dump(path)
         except OSError as exc:
-            _warn(f"could not write sieve cache {path}: {exc}")
+            _stderr(f"warning: could not write sieve cache {path}: {exc}")
     return table
 
 
@@ -122,7 +127,7 @@ def _render(fmt: str, record: dict, header: list[str], rows, lines,
     text.  rows and lines may be generators: only the format asked for
     is built.  A reader that closes stdout early cuts the output short
     without an error, and the command keeps its own exit code; any other
-    failure to write stdout raises its OSError, which main reports.
+    failure to write, or a stdout closed at start-up, raises to main.
     """
     if fmt == "json":
         out = json.dumps(record, indent=indent)
@@ -134,12 +139,8 @@ def _render(fmt: str, record: dict, header: list[str], rows, lines,
         out = buf.getvalue().rstrip("\n")
     else:
         out = "\n".join(lines)
-    try:
-        print(out, flush=True)  # a closed pipe fails here, not at exit
-    except OSError as exc:
-        _to_devnull(sys.stdout)
-        if not isinstance(exc, BrokenPipeError):
-            raise
+    with contextlib.suppress(BrokenPipeError):
+        _write(sys.stdout, out)
 
 
 def _spaced(values):
@@ -508,8 +509,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    """Run one command; an error, a refused size or an unwritable stdout
-    prints one `error:` line through _stderr and returns 2."""
+    """Run one command; an error, a refused size or a missing or unwritable
+    stdout prints one `error:` line through _stderr and returns 2."""
     args = _parser().parse_args(argv)
     # looked up per call, so a replaced handler takes effect
     handler = globals()[f"_cmd_{args.command}"]

@@ -332,13 +332,10 @@ class PiBreakdown(namedtuple(
             cls, (x, strategy, n, m_n, w_n, 1, m_n - w_n + 1, class_counts)
         )
 
-    # namedtuple's own _make and _replace call tuple.__new__ directly
+    # namedtuple's _make calls tuple.__new__ directly; _replace calls _make
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

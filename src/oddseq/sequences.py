@@ -37,11 +37,13 @@ def check_index(n) -> None:
 
     The domain is n >= 0 (ValueError) with an element 3 + 2*n that fits
     in 64 bits for an int and in int64 for an array (OverflowError).  Any
-    other index is refused (ValueError): a float, a bool, a numpy scalar
-    or an array of another dtype, since narrower ints and numpy scalars
-    wrap and floats or bools give no exact count.
+    other index is refused (ValueError): a float, a bool, a numpy scalar,
+    a 0-d array or an array of another dtype, since narrower ints and
+    numpy scalars wrap and floats or bools give no exact count.
     """
     if isinstance(n, np.ndarray):
+        if n.ndim == 0:  # its entry would come back as a numpy scalar
+            raise ValueError("index array must have a dimension, got 0-d")
         if n.dtype != np.int64:
             raise ValueError(f"index array must be int64, got {n.dtype}")
         low, high = int(n.min(initial=0)), int(n.max(initial=0))

@@ -161,6 +161,9 @@ def test_arrays_of_another_dtype_are_refused(name):
         with pytest.raises(ValueError, match="must be an int or an int64 array,"
                            f" got {type(index).__name__}$"):
             ARRAY_DOMAIN_FORMS[name](index)
+    # and a 0-d array, whose entry element_at gave back as an np.int64
+    with pytest.raises(ValueError, match="must have a dimension, got 0-d$"):
+        ARRAY_DOMAIN_FORMS[name](np.array(60, dtype=np.int64))
 
 
 def test_kpow_refuses_an_exponent_below_one():

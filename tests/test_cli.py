@@ -805,6 +805,17 @@ def test_an_unwritable_stdout_is_an_error(argv):
     assert done.stderr == "error: [Errno 28] No space left on device\n"
 
 
+# Python makes None of an fd 1 closed at start-up
+@pytest.mark.parametrize("argv", [
+    "gen 5", "pi 1000", "verify --max-n 300 --format json"])
+def test_a_stdout_closed_at_start_up_is_an_error(argv):
+    done = subprocess.run(
+        ["sh", "-c", f'"$0" -m oddseq.cli {argv} >&-', sys.executable],
+        capture_output=True, text=True, env=module_env(), timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: [Errno 9] Bad file descriptor\n"
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_sieve_cache_leaves_a_fifo_alone(tmp_path):
     path = tmp_path / "sieve.odsq"
@@ -841,3 +852,12 @@ def test_verify_exits_one_on_a_mismatch_into_a_closed_stdout(monkeypatch):
     with open(write_end, "w") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         assert cli.main(["verify", "--classes", "kl", "--max-n", "50"]) == 1
+
+
+def test_verify_reports_a_mismatch_it_could_not_print(capsys, monkeypatch):
+    real = counting.count_kl
+    monkeypatch.setattr(counting, "count_kl", lambda n: real(n) + 1)
+    monkeypatch.setattr(sys, "stdout", None)  # closed at start-up
+    # the report was lost, so the run fails as an unwritable stdout, not 1
+    assert cli.main(["verify", "--classes", "kl", "--max-n", "50"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor\n"
