@@ -4,6 +4,7 @@ Every command takes --format text|json|csv.  Exit codes: 0 on success,
 1 when verify finds a mismatch in an exact-variant check, 2 on usage or
 domain errors, above a size cap and when stdout is missing (closed at
 start-up) or cannot be written.  A closed stderr changes no exit code.
+Usage errors and --help keep these codes whatever stdout and stderr are.
 ODSQ_SIEVE_CACHE keeps pi's sieve in a file between runs; only pi reads it.
 """
 from __future__ import annotations
@@ -439,8 +440,18 @@ def _cmd_bench(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its help and usage errors written through _write."""
+    def _print_message(self, message, file=None):  # only help reaches it
+        _write(sys.stdout, message.rstrip("\n"))
+
+    def error(self, message):
+        _stderr(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddseq",
         description="Prime counting and generation over the odd sequence.",
     )
@@ -511,11 +522,10 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     """Run one command; an error, a refused size or a missing or unwritable
     stdout prints one `error:` line through _stderr and returns 2."""
-    args = _parser().parse_args(argv)
-    # looked up per call, so a replaced handler takes effect
-    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return handler(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so a replaced handler takes effect
+        return globals()[f"_cmd_{args.command}"](args)
     except (ValueError, OverflowError, ResourceLimitError, OSError) as exc:
         _stderr(f"error: {exc}")
         return 2

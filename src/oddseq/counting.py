@@ -200,28 +200,16 @@ def _prime_prefixes(
     return runs
 
 
-def _count_two_prime_cofactor(u, primes: list[int]):
-    """Triples (k1, k2, l): odd primes k1 < k2, odd l >= k2, product <= u.
-
-    primes is an ascending list of the odd primes up to at least
-    isqrt(max(u) // 3) + 1.
-    """
-    runs = _prime_prefixes(primes, 2, _largest(u))
-    # l = k2, k2 + 2, ...: the product starts at k1*k2*k2, steps by 2*k1*k2
-    return _tail_sum(u, [(k1k2 * primes[i], 2 * k1k2) for k1k2, i in runs], 1)
-
-
-def _count_distinct_prime_products(r: int, u, primes, table: SieveTable):
+def _count_distinct_prime_products(u, runs, table: SieveTable):
     """Squarefree products of r distinct odd primes <= u.
 
-    Each ascending run of r - 1 primes that fits the largest u takes a
-    larger last prime up to max(u) // product: an int u counts these off
-    table's rank, an array u reads its counts off the sorted products.
-    primes lists the odd primes up to at least isqrt(max(u) // 3**(r - 2));
-    table reaches max(u) over the product of the r - 1 smallest of them.
+    runs are the (product, i) runs of r - 1 primes that _prime_prefixes
+    walked to the largest u.  Each takes a larger last prime up to
+    max(u) // product: an int u counts these off table's rank, an array
+    u reads its counts off the sorted products.  table reaches max(u)
+    over the product of the r - 1 smallest odd primes.
     """
     top = _largest(u)
-    runs = _prime_prefixes(primes, r - 1, top)
     if not isinstance(u, np.ndarray):  # primes[i] is odd prime number i + 1
         return sum(table.odd_prime_rank((top // product - 3) // 2) - i - 1
                    for product, i in runs)
@@ -265,13 +253,18 @@ def _w_formula_terms(n):
         yield f"kpow:{j + 1}", count_kpow(j + 1, n), 1
         j += 1
 
-    yield "two_prime_l", _count_two_prime_cofactor(u, primes), -1
+    # the 2-prime runs, walked once: k1*k2 takes l = k2, k2 + 2, ..., so
+    # its products start at k1*k2*k2 and step by 2*k1*k2; multi:3 reads them
+    runs = _prime_prefixes(primes, 2, top)
+    yield "two_prime_l", _tail_sum(
+        u, [(p * primes[i], 2 * p) for p, i in runs], 1), -1
 
     r = 3
     # under the cap the first 9 odd primes, all below 64, multiply past top
     while math.prod(primes[:r]) <= top:
-        yield (f"multi:{r}",
-               _count_distinct_prime_products(r, u, primes, table), 1 - r)
+        if r > 3:
+            runs = _prime_prefixes(primes, r - 1, top)
+        yield f"multi:{r}", _count_distinct_prime_products(u, runs, table), 1 - r
         r += 1
 
 

@@ -771,6 +771,40 @@ def test_a_closed_stderr_keeps_the_exit_code(redirect):
     assert (done.returncode, done.stdout) == (2, b"")
 
 
+_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                           reason="no /dev/full")
+
+
+# argparse's own writes failed at exit (code 120), and with no stderr it
+# printed the usage on stdout
+@pytest.mark.parametrize("argv", [
+    "pi abc 2>&-",
+    pytest.param("pi abc 2>/dev/full", marks=_FULL),
+    "2>&-",
+    pytest.param("pi --strategy bogus 5 2>/dev/full", marks=_FULL),
+    pytest.param("--help 2>&- > /dev/full", marks=_FULL),
+    pytest.param("--help > /dev/full", marks=_FULL),
+    "--help >&-",
+])
+def test_usage_errors_and_help_keep_the_exit_code(argv):
+    done = subprocess.run(
+        ["sh", "-c", f'"$0" -m oddseq.cli {argv}', sys.executable],
+        capture_output=True, text=True, env=module_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    if "2>" not in argv:  # the help that could not be written
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ")
+
+
+def test_help_prints_the_parser_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (cli.build_parser().format_help(), "")
+
+
 class ClosedStderr(io.TextIOBase):
     """A stderr whose fd was closed after start-up: every write fails."""
 

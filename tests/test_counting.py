@@ -393,11 +393,14 @@ def test_distinct_prime_products_match_the_multi_enumerator():
     # the last primes are counted off a table, the runs walk the list
     table = SieveTable.build(int(u[-1]) // 3 + 1)
     for r in range(2, 7):
-        counts = counting._count_distinct_prime_products(r, u, primes, table)
+        # each count reads the runs of r - 1 primes walked to its largest u
+        runs = counting._prime_prefixes(primes, r - 1, int(u[-1]))
+        counts = counting._count_distinct_prime_products(u, runs, table)
         assert counts.tolist() == count_class_upto(multi(r), SWEEP_N).tolist()
         for n in SAMPLED_N:
+            runs = counting._prime_prefixes(primes, r - 1, int(u[n]))
             one = counting._count_distinct_prime_products(
-                r, int(u[n]), primes, table)
+                int(u[n]), runs, table)
             assert one == counts[n], (r, n)
 
 
@@ -415,7 +418,29 @@ def test_two_prime_cofactor_matches_its_triples():
                      for l in range(k2, top // (k1 * k2) + 1, 2)]
     assert len(hits) == 73_609
     want = np.cumsum(np.bincount(hits, minlength=SWEEP_N + 1))
-    counts = counting._count_two_prime_cofactor(u, primes)
+    counts = _two_prime_l(np.arange(SWEEP_N + 1))
     assert counts.tolist() == want.tolist()
     for n in SAMPLED_N:
-        assert counting._count_two_prime_cofactor(int(u[n]), primes) == want[n]
+        assert _two_prime_l(n) == want[n]
+
+
+def _two_prime_l(n):
+    """The two_prime_l term of the formula at index n."""
+    terms = {name: count for name, count, _ in counting._w_formula_terms(n)}
+    return terms["two_prime_l"]
+
+
+def test_each_run_length_is_walked_once(monkeypatch):
+    walked = []
+    walk = counting._prime_prefixes
+
+    def spy(primes, size, top):
+        walked.append(size)
+        return walk(primes, size, top)
+
+    monkeypatch.setattr(counting, "_prime_prefixes", spy)
+    for n in (10**6 - 1, np.arange(3001)):
+        walked.clear()
+        list(counting._w_formula_terms(n))
+        assert 2 in walked
+        assert len(walked) == len(set(walked)), (n, walked)
