@@ -40,6 +40,7 @@ from .sequences import element_at, floor_element
 # about 0.4 us a term for an int u: this many take about 1 s.  The root
 # of an array lists one int64 power per base, under the same cap.
 MAX_K_TERMS = 2_500_000
+_record = tuple.__new__  # for pi_of, whose records balance by construction
 
 
 def _largest(v) -> int:
@@ -300,8 +301,8 @@ class PiBreakdown(namedtuple(
 
     An immutable record backed by a tuple, so that making one costs one
     tuple rather than a setattr per field.  Every way of making one (the
-    constructor, _make, _replace, pickle and copy) checks the balance;
-    _balanced, for pi_of, computes pi from it instead.  Assigning or
+    constructor, _make, _replace, pickle and copy) checks the balance,
+    except pi_of, which computes pi = m_n - w_n + 1 itself.  Assigning or
     deleting an attribute raises FrozenInstanceError.  class_counts
     defaults to a fresh empty dict.  dataclasses.replace and asdict do
     not apply; to_dict() gives a plain dict.
@@ -316,13 +317,6 @@ class PiBreakdown(namedtuple(
             class_counts = {}
         return tuple.__new__(
             cls, (x, strategy, n, m_n, w_n, m_corr, pi, class_counts)
-        )
-
-    @classmethod
-    def _balanced(cls, x, strategy, n, m_n, w_n, class_counts):
-        """The record with pi = m_n - w_n + 1: it balances by construction."""
-        return tuple.__new__(
-            cls, (x, strategy, n, m_n, w_n, 1, m_n - w_n + 1, class_counts)
         )
 
     # namedtuple's _make calls tuple.__new__ directly; _replace calls _make
@@ -366,7 +360,7 @@ def pi_of(
         strategy = Strategy(strategy)
     name = strategy._value_  # the plain str; .value is a slower property
     if x < 3:
-        return PiBreakdown._balanced(x, name, None, 0, 0, {})
+        return _record(PiBreakdown, (x, name, None, 0, 0, 1, 1, {}))
 
     u = floor_element(x)  # odd and >= 3: its index needs no check
     n = (u - 3) // 2
@@ -382,4 +376,4 @@ def pi_of(
         terms = list(_w_formula_terms(n))
         counts = {term: count for term, count, _ in terms}
         w_n = sum(weight * count for _, count, weight in terms)
-    return PiBreakdown._balanced(x, name, n, m_n, w_n, counts)
+    return _record(PiBreakdown, (x, name, n, m_n, w_n, 1, m_n - w_n + 1, counts))

@@ -866,6 +866,33 @@ def test_sieve_cache_leaves_a_fifo_alone(tmp_path):
     assert stat.S_ISFIFO(os.stat(path).st_mode)
 
 
+# the published pi(x) at each x, one concurrent `pi` process per x
+_CONCURRENT_PI = {"100000": 9592, "300000": 25997, "1000000": 78498,
+                  "2000000": 148933}
+
+
+@pytest.mark.parametrize("round_", range(3))
+def test_sieve_cache_under_concurrent_writers(round_, tmp_path):
+    path = tmp_path / "sieve.odsq"
+    env = {**module_env(), "ODSQ_SIEVE_CACHE": str(path)}
+    procs = {x: subprocess.Popen(
+        [sys.executable, "-m", "oddseq.cli", "pi", x], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env) for x in _CONCURRENT_PI}
+    try:
+        done = {x: proc.communicate(timeout=60) for x, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            proc.kill()  # a no-op once it has exited: a hang fails, not hangs
+    for x, (out, err) in done.items():
+        assert (procs[x].returncode, err) == (0, "")
+        assert f"pi = {_CONCURRENT_PI[x]}" in out.splitlines()
+    # every writer renamed its temporary file over the cache or removed it
+    assert [p.name for p in tmp_path.iterdir()] == ["sieve.odsq"]
+    table = oracle.SieveTable.load(path)
+    assert str(table.limit) in _CONCURRENT_PI
+    assert table.prime_count(table.limit) == _CONCURRENT_PI[str(table.limit)]
+
+
 def test_sieve_cache_leaves_a_symlink_to_a_device_alone(
         capsys, monkeypatch, tmp_path):
     path = tmp_path / "sieve.odsq"

@@ -1,10 +1,11 @@
 """Invariant checks, hypothesis-driven where randomization earns its keep."""
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddseq import (
+    PiBreakdown,
     Strategy,
     build_wheel,
     count_elements,
@@ -97,10 +98,18 @@ def test_factorization_recomposes_ascending(u):
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=2, max_value=50_000))
-def test_pi_breakdown_balances(x):
-    b = pi_of(x, Strategy.ORACLE)
-    assert b.pi == b.m_n - b.w_n + b.m_corr
-    assert b.m_corr == 1
+@example(2)
+@example(10**4)
+def test_pi_breakdown_balances(table, x):
+    # pi_of makes its records without the constructor's balance check
+    records = [pi_of(x, Strategy.ORACLE), pi_of(x, Strategy.ORACLE, table)]
+    if x <= 10**4:
+        records.append(pi_of(x, Strategy.FORMULA))
+    for b in records:
+        assert type(b) is PiBreakdown
+        assert PiBreakdown(*b) == b
+        assert b.pi == b.m_n - b.w_n + b.m_corr
+        assert b.m_corr == 1
 
 
 def test_prime_plus_six_stays_in_odd_coprime_span(table):
